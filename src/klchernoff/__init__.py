@@ -23,7 +23,7 @@ from .bounds import (
     meaningful_threshold,
     types_bound,
 )
-from .data import FrequencyTable, butterfly_fixture_path, butterfly_table
+from .data import FrequencyTable, ProbVector, butterfly_fixture_path, butterfly_table
 from .gkn import (
     ExperimentShape,
     GknEvaluator,
@@ -47,7 +47,6 @@ from .inversion import (
 from .oracle import (
     MCTailResult,
     Outcome,
-    ProbVector,
     enumerate_outcomes,
     gkn_from_definition,
     kl_divergence,

@@ -32,6 +32,7 @@ from .gkn import (
     build_evaluator,
     log_eval_gkn,
     log_eval_gkn_grid,
+    logsumexp,
 )
 from .special import log_upper_gamma
 
@@ -53,7 +54,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class TailQuery:
-    """A deviation threshold t > 0 (in nats) for a given experiment shape."""
+    """A finite deviation threshold t > 0 (in nats) for a given experiment shape."""
 
     shape: ExperimentShape
     t: float
@@ -61,6 +62,8 @@ class TailQuery:
     def __post_init__(self) -> None:
         if not self.t > 0.0:
             raise ValueError(f"threshold t must be positive, got {self.t}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"threshold t must be finite, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class BoundResult:
 
 
 def _make_result(method: str, log_value: float, lambda_used: float | None = None) -> BoundResult:
+    if math.isnan(log_value):
+        raise ValueError(f"bound {method!r} evaluated to NaN")
     value = min(math.exp(log_value), 1.0) if log_value < 0.0 else 1.0
     return BoundResult(
         value=value,
@@ -153,9 +158,18 @@ def chernoff_exact(q: TailQuery) -> BoundResult:
     return _make_result("exact", log_value, lam_star)
 
 
-def _require_above_line(q: TailQuery) -> tuple[int, int]:
+def defined_at(method: str, k: int, t: float) -> bool:
+    """Whether ``method`` has a bound at threshold t for alphabet size k.
+
+    False only for the plug-in methods at t <= k - 1, where their closed-form
+    lambda falls outside (0, 1].
+    """
+    return method not in ("corrected", "uncorrected") or t > k - 1
+
+
+def _require_above_line(q: TailQuery, method: str) -> tuple[int, int]:
     k, n = _require_shape(q)
-    if not q.t > k - 1:
+    if not defined_at(method, k, q.t):
         raise ValueError(
             f"plug-in lambda requires t > k - 1 (t={q.t}, k={q.shape.k}); "
             "use chernoff_exact for smaller thresholds"
@@ -165,7 +179,7 @@ def _require_above_line(q: TailQuery) -> tuple[int, int]:
 
 def chernoff_uncorrected(q: TailQuery) -> BoundResult:
     """Closed-form bound from the limit minimizer lambda = 1 - (k-1)/t."""
-    k, n = _require_above_line(q)
+    k, n = _require_above_line(q, "uncorrected")
     lam = 1.0 - (k - 1) / q.t
     log_value = log_eval_gkn(_evaluator(k, n), lam) - lam * q.t
     return _make_result("uncorrected", log_value, lam)
@@ -176,7 +190,7 @@ def chernoff_corrected(q: TailQuery) -> BoundResult:
 
     Uses lambda = min(1 - (k-1)/t + (k/(k-1)) (t-k+1)/n, 1).
     """
-    k, n = _require_above_line(q)
+    k, n = _require_above_line(q, "corrected")
     lam = min(1.0 - (k - 1) / q.t + (k / (k - 1.0)) * (q.t - k + 1) / n, 1.0)
     log_value = log_eval_gkn(_evaluator(k, n), lam) - lam * q.t
     return _make_result("corrected", log_value, lam)
@@ -216,10 +230,8 @@ def log_mardia_factor(k: int, n: int) -> float:
     log_k: dict[int, float] = {-1: 0.0, 0: math.log(math.pi), 1: log_two_pi}
     for j in range(2, k - 2):
         log_k[j] = log_k[j - 2] + log_two_pi - math.log(j)
-    arr = np.asarray([log_k[i - 1] + i * log_x for i in range(k - 1)])
-    peak = float(arr.max())
-    log_sum = peak + math.log(float(np.exp(arr - peak).sum()))
-    return math.log(12.0 / math.pi) + log_sum
+    log_terms = np.asarray([log_k[i - 1] + i * log_x for i in range(k - 1)])
+    return math.log(12.0 / math.pi) + float(logsumexp(log_terms))
 
 
 def mardia_factor(k: int, n: int) -> float:

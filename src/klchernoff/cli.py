@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import bounds
-from .data import FrequencyTable
+from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
 from .inversion import CoordinateCI, CriticalValueQuery, coord_upper_bound, critical_value, unseen_upper_bound
-from .oracle import ProbVector, mc_tail
+from .oracle import mc_tail
 from .verify import run_suite
 
 _JSON_DIGITS = 17
@@ -51,10 +52,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_csv(header, rows) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_csv_cell(v) for v in row))
+def _emit(fmt: str, obj, header: list[str], rows: list[dict]) -> None:
+    """Print ``obj`` as JSON, or the ``header`` columns of ``rows`` as CSV."""
+    if fmt == "json":
+        _emit_json(obj)
+    else:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(_csv_cell(row[key]) for key in header))
 
 
 def _bound_record(result: bounds.BoundResult) -> dict:
@@ -110,25 +115,15 @@ def cmd_bound(args) -> int:
     explicit = args.method != "all"
     records = []
     for method in methods:
-        if not explicit and method in ("corrected", "uncorrected") and args.t <= shape.k - 1:
+        if not explicit and not bounds.defined_at(method, shape.k, args.t):
             continue
         records.append(_bound_record(bounds.evaluate_bound(method, query)))
-    if args.format == "json":
-        _emit_json({"k": shape.k, "n": shape.n, "t": args.t, "bounds": records})
-    else:
-        header = ["method", "value", "log_value", "lambda_used", "meaningful", "note"]
-        rows = [
-            [
-                r["method"],
-                r["value"],
-                r["log_value"],
-                r["lambda_used"],
-                r["meaningful"],
-                "reference-only" if r.get("reference_only") else "",
-            ]
-            for r in records
-        ]
-        _emit_csv(header, rows)
+    _emit(
+        args.format,
+        {"k": shape.k, "n": shape.n, "t": args.t, "bounds": records},
+        ["method", "value", "log_value", "lambda_used", "meaningful", "note"],
+        [dict(r, note="reference-only" if r.get("reference_only") else "") for r in records],
+    )
     return 0
 
 
@@ -136,6 +131,8 @@ def cmd_sweep(args) -> int:
     shape = ExperimentShape(args.k, args.n)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise ValueError(f"--t-min and --t-max must be finite, got [{args.t_min}, {args.t_max}]")
     if not 0.0 < args.t_min <= args.t_max:
         raise ValueError(f"need 0 < t-min <= t-max, got [{args.t_min}, {args.t_max}]")
     grid = np.linspace(args.t_min, args.t_max, args.points) if args.points > 1 else np.asarray([args.t_min])
@@ -144,14 +141,11 @@ def cmd_sweep(args) -> int:
     for t in grid:
         query = bounds.TailQuery(shape, float(t))
         for method in methods:
-            if method in ("corrected", "uncorrected") and t <= shape.k - 1:
+            if not bounds.defined_at(method, shape.k, t):
                 continue
             result = bounds.evaluate_bound(method, query)
-            rows.append([float(t), method, result.value, result.log_value])
-    if args.format == "json":
-        _emit_json([{"t": r[0], "method": r[1], "value": r[2], "log_value": r[3]} for r in rows])
-    else:
-        _emit_csv(["t", "method", "value", "log_value"], rows)
+            rows.append({"t": float(t), "method": method, "value": result.value, "log_value": result.log_value})
+    _emit(args.format, rows, ["t", "method", "value", "log_value"], rows)
     return 0
 
 
@@ -169,10 +163,7 @@ def cmd_critical(args) -> int:
         "bound_at_t": achieved,
         "round_trip_rel_error": abs(achieved - args.alpha) / args.alpha,
     }
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        _emit_csv(list(record), [list(record.values())])
+    _emit(args.format, record, list(record), [record])
     return 0
 
 
@@ -189,10 +180,7 @@ def cmd_ci_unseen(args) -> int:
     ci = unseen_upper_bound(table, args.alpha)
     shape = ExperimentShape(table.k_observed + 1, table.n)
     record = _ci_record(shape, ci, {"method": "exact"})
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        _emit_csv(list(record), [list(record.values())])
+    _emit(args.format, record, list(record), [record])
     return 0
 
 
@@ -210,10 +198,7 @@ def cmd_ci_coord(args) -> int:
     ci = coord_upper_bound(phat, shape, args.coord, t_used)
     ci = CoordinateCI(coord=ci.coord, upper=ci.upper, t_used=ci.t_used, alpha=alpha)
     record = _ci_record(shape, ci, {"phat_coord": table.counts[args.coord - 1] / table.n, "method": args.method})
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        _emit_csv(list(record), [list(record.values())])
+    _emit(args.format, record, list(record), [record])
     return 0
 
 
@@ -258,13 +243,7 @@ def cmd_mc_tail(args) -> int:
         "estimate": result.estimate,
         "std_error": result.std_error,
     }
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        _emit_csv(
-            ["k", "n", "t", "samples", "seed", "hits", "estimate", "std_error"],
-            [[shape.k, shape.n, args.t, result.samples, args.seed, result.hits, result.estimate, result.std_error]],
-        )
+    _emit(args.format, record, [key for key in record if key != "p"], [record])
     return 0
 
 

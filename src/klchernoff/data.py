@@ -1,9 +1,10 @@
-"""Observed count data: ingestion, validation, and the bundled fixture."""
+"""Observed count data, simplex points, and the bundled fixture."""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -12,6 +13,28 @@ from pathlib import Path
 import numpy as np
 
 _CSV_HEADER = ("frequency", "species")
+
+
+@dataclass(frozen=True)
+class ProbVector:
+    """A point of the probability simplex with tolerance-checked normalization."""
+
+    probs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.probs) == 0:
+            raise ValueError("probability vector must be nonempty")
+        if any(p < 0.0 for p in self.probs):
+            raise ValueError("probabilities must be nonnegative")
+        total = math.fsum(self.probs)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total}")
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.probs, dtype=float)
 
 
 @dataclass(frozen=True)

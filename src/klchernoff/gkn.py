@@ -9,6 +9,8 @@ the degree-n polynomial
 with G identically 1 for k = 1 or n = 0.  Coefficients are held in log form
 so that shapes as large as k ~ 500, n ~ 10^6 evaluate without overflow; small
 shapes additionally carry exact rational coefficients for bit-exact checks.
+Every sum of log-domain terms, here and in the bound factors and the
+enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
 Everything here is immutable after construction and safe for concurrent use.
 """
@@ -102,9 +104,12 @@ def _check_unit_interval(lam: float) -> None:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
 
 
-def _logsumexp(terms: np.ndarray) -> float:
-    m = float(terms.max())
-    return m + math.log(float(np.exp(terms - m).sum()))
+def logsumexp(terms: np.ndarray):
+    """log(sum(exp(terms))) over the first axis, shifted by the maximum so
+    that no term overflows.  Entries of -inf contribute nothing; each column
+    reduced needs at least one finite entry."""
+    peak = terms.max(axis=0)
+    return peak + np.log(np.exp(terms - peak).sum(axis=0))
 
 
 def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -113,7 +118,7 @@ def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
     if lam == 0.0 or ev.log_coeffs.size == 1:
         return 0.0
     m = np.arange(ev.log_coeffs.size, dtype=float)
-    return _logsumexp(ev.log_coeffs + m * math.log(lam))
+    return float(logsumexp(ev.log_coeffs + m * math.log(lam)))
 
 
 def eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -142,9 +147,7 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     cols_per_chunk = max(1, _CHUNK_ENTRIES // ev.log_coeffs.size)
     for start in range(0, nz.size, cols_per_chunk):
         idx = nz[start : start + cols_per_chunk]
-        terms = lc + m * np.log(arr[idx])[None, :]
-        peak = terms.max(axis=0)
-        out[idx] = peak + np.log(np.exp(terms - peak).sum(axis=0))
+        out[idx] = logsumexp(lc + m * np.log(arr[idx])[None, :])
     return out
 
 
@@ -160,7 +163,7 @@ def eval_gkn_deriv(ev: GknEvaluator, lam: float) -> float:
         return math.exp(ev.log_coeffs[1])
     m = np.arange(1, n + 1, dtype=float)
     terms = ev.log_coeffs[1:] + np.log(m) + (m - 1.0) * math.log(lam)
-    return math.exp(_logsumexp(terms))
+    return math.exp(logsumexp(terms))
 
 
 def eval_gkn_limit(k: int, lam: float) -> float:
@@ -188,6 +191,15 @@ def eval_g2n_gamma_form(n: int, lam: float) -> float:
     return math.exp(log_val)
 
 
+def _recurrence_residual(evaluator, k: int, n: int, lam: float) -> float:
+    """G_{k,n}(lam) - [G_{k-1,n}(lam) + lam * G_{k,n-1}(lam (n-1)/n)], with each
+    polynomial built by ``evaluator(shape)``."""
+    g = eval_gkn(evaluator(ExperimentShape(k, n)), lam)
+    g_left = eval_gkn(evaluator(ExperimentShape(k - 1, n)), lam)
+    g_down = eval_gkn(evaluator(ExperimentShape(k, n - 1)), lam * (n - 1) / n)
+    return g - (g_left + lam * g_down)
+
+
 def recurrence_residual(k: int, n: int, lam: float) -> float:
     """Residual of G_{k,n}(lam) - [G_{k-1,n}(lam) + lam * G_{k,n-1}(lam (n-1)/n)].
 
@@ -199,7 +211,4 @@ def recurrence_residual(k: int, n: int, lam: float) -> float:
     if n < 1:
         raise ValueError("recurrence requires n >= 1")
     _check_unit_interval(lam)
-    g = eval_gkn(build_evaluator(ExperimentShape(k, n)), lam)
-    g_left = eval_gkn(build_evaluator(ExperimentShape(k - 1, n)), lam)
-    g_down = eval_gkn(build_evaluator(ExperimentShape(k, n - 1)), lam * (n - 1) / n)
-    return g - (g_left + lam * g_down)
+    return _recurrence_residual(build_evaluator, k, n, lam)

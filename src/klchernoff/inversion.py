@@ -8,14 +8,14 @@ confidence region {p : n * D(phat || p) <= t}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.special import rel_entr
 
-from .bounds import BOUND_METHODS, TailQuery, evaluate_bound, meaningful_threshold
-from .data import FrequencyTable
+from .bounds import BOUND_METHODS, TailQuery, defined_at, evaluate_bound, meaningful_threshold
+from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
-from .oracle import ProbVector
 
 CRITICAL_REL_TOL = 1e-9
 KL_ROOT_TOL = 1e-12
@@ -68,7 +68,8 @@ def critical_value(q: CriticalValueQuery) -> float:
     def bound_at(t: float) -> float:
         return evaluate_bound(q.method, TailQuery(q.shape, t)).value
 
-    if q.method in ("corrected", "uncorrected"):
+    if not defined_at(q.method, k, k - 1):
+        # the plug-in bounds exist only above the line t = k - 1
         lo = (k - 1) * (1.0 + 1e-12) + 1e-12
     else:
         lo = meaningful_threshold(q.shape)
@@ -120,6 +121,8 @@ def coord_upper_bound(
     """
     if not t > 0.0:
         raise ValueError(f"deviation level t must be positive, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(f"deviation level t must be finite, got {t}")
     if shape.n < 1:
         raise ValueError("coordinate bound requires n >= 1")
     if len(phat) != shape.k:

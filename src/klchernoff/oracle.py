@@ -4,7 +4,8 @@ Enumerates every multinomial outcome at desk scale to evaluate the MGF, the
 p-dependent polynomial definition, and exact tail probabilities; estimates
 tails by seeded Monte Carlo where enumeration is out of reach.  These
 routines are deliberately independent of the coefficient-based evaluation in
-:mod:`klchernoff.gkn` so the two can cross-check each other.
+:mod:`klchernoff.gkn` so the two can cross-check each other; they share only
+the log-sum-exp reduction, which is tested on its own against SciPy's.
 """
 
 from __future__ import annotations
@@ -17,32 +18,11 @@ from typing import Iterator
 import numpy as np
 from scipy.special import gammaln, rel_entr, xlogy
 
-from .gkn import ExperimentShape
+from .data import ProbVector
+from .gkn import ExperimentShape, logsumexp
 
 ENUMERATION_GUARD = 10**7
 _BLOCK = 65536
-
-
-@dataclass(frozen=True)
-class ProbVector:
-    """A point of the probability simplex with tolerance-checked normalization."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.probs) == 0:
-            raise ValueError("probability vector must be nonempty")
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total}")
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,25 +117,14 @@ def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
     if shape.n == 0:
         return 1.0
     parr = p.as_array()
-    peak, total = -np.inf, 0.0
+    block_sums = []
     for block in _count_blocks(shape):
         log_coeff, a, b = _block_stats(block, shape.n, parr)
         valid = b > -np.inf
         terms = log_coeff[valid] + lam * a[valid] + (1.0 - lam) * b[valid]
-        peak, total = _merge_logsum(peak, total, terms)
-    return math.exp(peak + math.log(total))
-
-
-def _merge_logsum(peak: float, total: float, terms: np.ndarray) -> tuple[float, float]:
-    if terms.size == 0:
-        return peak, total
-    m = float(terms.max())
-    if m > peak:
-        total = total * math.exp(peak - m) + float(np.exp(terms - m).sum())
-        peak = m
-    else:
-        total += float(np.exp(terms - peak).sum())
-    return peak, total
+        if terms.size:
+            block_sums.append(logsumexp(terms))
+    return math.exp(logsumexp(np.asarray(block_sums)))
 
 
 def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
@@ -174,14 +143,15 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
         return 1.0
     parr = p.as_array()
     n = shape.n
-    peak, total = -np.inf, 0.0
+    block_sums = []
     for block in _count_blocks(shape):
         log_coeff = gammaln(n + 1.0) - gammaln(block + 1.0).sum(axis=1)
         w = lam * block / n + (1.0 - lam) * parr[None, :]
         terms = log_coeff + xlogy(block, w).sum(axis=1)
         terms = terms[terms > -np.inf]
-        peak, total = _merge_logsum(peak, total, terms)
-    return math.exp(peak + math.log(total))
+        if terms.size:
+            block_sums.append(logsumexp(terms))
+    return math.exp(logsumexp(np.asarray(block_sums)))
 
 
 def tail_exact(shape: ExperimentShape, p: ProbVector, t: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .gkn import ExperimentShape, GknEvaluator, build_evaluator, eval_gkn, recurrence_residual
+from .gkn import ExperimentShape, GknEvaluator, _recurrence_residual, build_evaluator, eval_gkn
 from .oracle import gkn_from_definition, mgf_exact, random_prob_vector, tail_exact
 
 _LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -89,13 +89,7 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
                     mgf_exact(shape, p, lam) <= g * (1.0 + 1e-12),
                     f"MGF exceeds the polynomial bound at {shape}, lam={lam}",
                 )
-            if inject_fault:
-                residual = eval_gkn(ev, lam) - (
-                    eval_gkn(evaluator(ExperimentShape(shape.k - 1, shape.n)), lam)
-                    + lam * eval_gkn(evaluator(ExperimentShape(shape.k, shape.n - 1)), lam * (shape.n - 1) / shape.n)
-                )
-            else:
-                residual = recurrence_residual(shape.k, shape.n, lam)
+            residual = _recurrence_residual(evaluator, shape.k, shape.n, lam)
             recurrence.check(
                 abs(residual) <= 1e-10 * g,
                 f"recurrence residual {residual:.3e} too large at {shape}, lam={lam}",
@@ -112,10 +106,9 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
                 exact.value <= lam_one.value * (1.0 + 1e-12),
                 lam_one.value <= types.value * (1.0 + 1e-12),
             ]
-            if t > shape.k - 1:
-                chain.append(exact.value <= bounds.chernoff_corrected(q).value * (1.0 + 1e-12))
-                chain.append(exact.value <= bounds.chernoff_uncorrected(q).value * (1.0 + 1e-12))
-                chain.append(exact.value <= bounds.agrawal_limit_bound(q).value * (1.0 + 1e-12))
+            for method in ("agrawal_limit", "corrected", "uncorrected"):
+                if bounds.defined_at(method, shape.k, t):
+                    chain.append(exact.value <= bounds.evaluate_bound(method, q).value * (1.0 + 1e-12))
             dominance.check(all(chain), f"bound dominance chain broken at {shape}, t={t:.4f}")
             for p in p_sets[shape][:2]:
                 tail = tail_exact(shape, p, float(t))

@@ -7,11 +7,13 @@ from klchernoff.bounds import (
     ALL_METHODS,
     BOUND_METHODS,
     TailQuery,
+    _make_result,
     agrawal_limit_bound,
     asymp_gamma_tail,
     chernoff_corrected,
     chernoff_exact,
     chernoff_uncorrected,
+    defined_at,
     evaluate_bound,
     lambda_one_bound,
     log_types_factor,
@@ -33,6 +35,24 @@ def test_query_validation():
         chernoff_exact(q(1, 5, 1.0))
     with pytest.raises(ValueError):
         types_bound(TailQuery(ExperimentShape(3, 0), 1.0))
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_query_rejects_non_finite_t(t):
+    with pytest.raises(ValueError):
+        q(3, 10, t)
+
+
+def test_nan_log_value_is_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        _make_result("exact", math.nan)
+
+
+def test_defined_at_only_excludes_plug_in_methods_at_or_below_line():
+    for method in ALL_METHODS:
+        plug_in = method in ("corrected", "uncorrected")
+        assert defined_at(method, 6, 5.0) is not plug_in
+        assert defined_at(method, 6, 5.0 + 1e-9)
 
 
 def test_exact_boundary_minimizer():

@@ -217,6 +217,23 @@ def test_domain_errors_exit_one(capsys):
     assert run_cli(capsys, "mc-tail", "--k", "2", "--n", "1", "--t", "0.1", "--p", "0.2,0.9")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ci-coord", "--counts", "4,6", "--coord", "2", "--t", "inf"),
+        ("bound", "--k", "3", "--n", "10", "--t", "inf", "--method", "exact"),
+        ("bound", "--k", "3", "--n", "10", "--t", "inf"),
+        ("sweep", "--k", "3", "--n", "10", "--t-min", "1", "--t-max", "inf", "--points", "5"),
+        ("sweep", "--k", "3", "--n", "10", "--t-min", "nan", "--t-max", "3", "--points", "5"),
+    ],
+)
+def test_non_finite_t_exits_one(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_csv_format_uses_ten_significant_digits(capsys):
     code, out, _ = run_cli(capsys, "bound", "--k", "2", "--n", "2", "--t", "5", "--method", "types", "--format", "csv")
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from klchernoff.gkn import (
     ExperimentShape,
@@ -13,6 +14,7 @@ from klchernoff.gkn import (
     eval_gkn_limit,
     log_eval_gkn,
     log_eval_gkn_grid,
+    logsumexp,
     recurrence_residual,
 )
 
@@ -191,3 +193,21 @@ def test_correction_combination_limit(k, lam):
     ev = build_evaluator(ExperimentShape(k, n))
     value = n * ((k - 1) / (1 - lam) * eval_gkn(ev, lam) - eval_gkn_deriv(ev, lam))
     assert value == pytest.approx(target, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        np.array([0.0, -1.0, 2.5, 700.0, -745.0]),
+        np.array([-3.25]),
+        np.array([-np.inf, 1.0, -np.inf, -2.0]),
+        np.array([[0.0, -np.inf, 1e3], [2.0, 3.0, -1e3], [-np.inf, -0.5, 0.0]]),
+        np.random.default_rng(7).normal(scale=50.0, size=(40, 6)),
+    ],
+    ids=["1d", "single", "1d-with-neg-inf", "2d-with-neg-inf", "2d-random"],
+)
+def test_logsumexp_matches_scipy(terms):
+    ours = logsumexp(terms)
+    ref = scipy.special.logsumexp(terms, axis=0)
+    assert np.shape(ours) == np.shape(ref)
+    np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=1e-14)

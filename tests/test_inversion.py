@@ -92,6 +92,8 @@ def test_coord_upper_validation():
     with pytest.raises(ValueError):
         coord_upper_bound(phat, ExperimentShape(2, 4), 1, 0.0)
     with pytest.raises(ValueError):
+        coord_upper_bound(phat, ExperimentShape(2, 4), 1, math.inf)
+    with pytest.raises(ValueError):
         coord_upper_bound(phat, ExperimentShape(2, 4), 0, 1.0)
     with pytest.raises(ValueError):
         coord_upper_bound(phat, ExperimentShape(2, 4), 3, 1.0)
