@@ -50,6 +50,8 @@ ALL_METHODS = BOUND_METHODS + ("asymp_gamma",)
 GRID_POINTS = 512
 REFINE_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LAMBDA_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
+_LAMBDA_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -126,23 +128,9 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def chernoff_exact(q: TailQuery) -> BoundResult:
-    """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1].
-
-    The objective is smooth but can have more than one local minimum, so a
-    512-point uniform grid scan (in log domain) isolates every candidate
-    basin and golden-section refinement resolves each to 1e-12.
-    """
-    k, n = _require_shape(q)
-    ev = _evaluator(k, n)
-    t = q.t
-
-    lams = np.linspace(0.0, 1.0, GRID_POINTS)
-    obj = log_eval_gkn_grid(ev, lams) - lams * t
-
-    def f(lam: float) -> float:
-        return log_eval_gkn(ev, lam) - lam * t
-
+def _grid_argmin(f, obj: np.ndarray) -> tuple[float, float]:
+    """(min, argmin) of f on [0, 1] from its values obj on the grid, refining every basin."""
+    lams = _LAMBDA_GRID
     candidates: list[tuple[float, float]] = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
     interior = np.flatnonzero((obj[1:-1] <= obj[:-2]) & (obj[1:-1] <= obj[2:])) + 1
     brackets = [(float(lams[j - 1]), float(lams[j + 1])) for j in interior]
@@ -153,8 +141,21 @@ def chernoff_exact(q: TailQuery) -> BoundResult:
     for a, b in brackets:
         x, fx = _golden_min(f, a, b, REFINE_TOL)
         candidates.append((fx, x))
+    return min(candidates)
 
-    log_value, lam_star = min(candidates)
+
+def chernoff_exact(q: TailQuery) -> BoundResult:
+    """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1].
+
+    The objective is smooth but can have more than one local minimum, so a
+    512-point uniform grid scan (in log domain) isolates every candidate
+    basin and golden-section refinement resolves each to 1e-12.
+    """
+    k, n = _require_shape(q)
+    ev = _evaluator(k, n)
+    t = q.t
+    obj = log_eval_gkn_grid(ev, _LAMBDA_GRID) - _LAMBDA_GRID * t
+    log_value, lam_star = _grid_argmin(lambda lam: log_eval_gkn(ev, lam) - lam * t, obj)
     return _make_result("exact", log_value, lam_star)
 
 
@@ -196,10 +197,15 @@ def chernoff_corrected(q: TailQuery) -> BoundResult:
     return _make_result("corrected", log_value, lam)
 
 
+def _log_g_one(k: int, n: int) -> float:
+    """log G(1), the combinatorial factor of the lambda = 1 form."""
+    return log_eval_gkn(_evaluator(k, n), 1.0)
+
+
 def lambda_one_bound(q: TailQuery) -> BoundResult:
     """Combinatorial-factor form G(1) exp(-t)."""
     k, n = _require_shape(q)
-    log_value = log_eval_gkn(_evaluator(k, n), 1.0) - q.t
+    log_value = _log_g_one(k, n) - q.t
     return _make_result("lambda_one", log_value, 1.0)
 
 
@@ -283,7 +289,7 @@ def meaningful_threshold(shape: ExperimentShape) -> float:
     """min(log G(1), k - 1); the exact bound drops below 1 only above this."""
     if shape.k < 2 or shape.n < 1:
         raise ValueError("threshold requires k >= 2 and n >= 1")
-    return min(log_eval_gkn(_evaluator(shape.k, shape.n), 1.0), float(shape.k - 1))
+    return min(_log_g_one(shape.k, shape.n), float(shape.k - 1))
 
 
 _DISPATCH = {

@@ -24,6 +24,8 @@ class ProbVector:
     def __post_init__(self) -> None:
         if len(self.probs) == 0:
             raise ValueError("probability vector must be nonempty")
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError(f"probabilities must be finite, got {self.probs}")
         if any(p < 0.0 for p in self.probs):
             raise ValueError("probabilities must be nonnegative")
         total = math.fsum(self.probs)

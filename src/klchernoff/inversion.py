@@ -3,7 +3,10 @@
 Inverts a (continuous, nonincreasing) bound method into the deviation level
 where it equals a target level alpha, and turns that level into an upper
 confidence bound for a single simplex coordinate via the divergence-ball
-confidence region {p : n * D(phat || p) <= t}.
+confidence region {p : n * D(phat || p) <= t}.  The exact bound is inverted
+through its dual form, one minimization over lambda; the factor bounds in
+closed form; the plug-in and large-n limit bounds by bisection on a fixed
+bracket.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ from dataclasses import dataclass
 
 from scipy.special import rel_entr
 
-from .bounds import BOUND_METHODS, TailQuery, defined_at, evaluate_bound, meaningful_threshold
+from .bounds import BOUND_METHODS, TailQuery, evaluate_bound, log_mardia_factor, log_types_factor
+from .bounds import _LAMBDA_GRID, _evaluator, _grid_argmin, _log_g_one
 from .data import FrequencyTable, ProbVector
-from .gkn import ExperimentShape
+from .gkn import ExperimentShape, log_eval_gkn, log_eval_gkn_grid
 
 CRITICAL_REL_TOL = 1e-9
 KL_ROOT_TOL = 1e-12
-_MAX_DOUBLINGS = 200
 _MAX_BISECTIONS = 500
+_LOG_FACTORS = {"lambda_one": _log_g_one, "types": log_types_factor, "mardia": log_mardia_factor}
 
 
 @dataclass(frozen=True)
@@ -58,38 +62,31 @@ class CoordinateCI:
 def critical_value(q: CriticalValueQuery) -> float:
     """The deviation t* where the chosen bound equals alpha.
 
-    Brackets [meaningful threshold, t_hi] with t_hi doubled until the bound
-    drops below alpha, then bisects; the bound is continuous and
-    nonincreasing in t, so the returned t* satisfies
-    |bound(t*) - alpha| <= 1e-9 * alpha.
+    exact: t* = min over lambda in (0, 1] of (log G(lambda) - log alpha) / lambda,
+    the dual of the bound's own minimization, solved by the same grid search.
+    lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
+    corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
+    and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between.
+    The returned t* satisfies |bound(t*) - alpha| <= 1e-9 * alpha.
     """
-    k = q.shape.k
+    k, n = q.shape.k, q.shape.n
+    if k < 2 or n < 1:
+        raise ValueError("critical values require k >= 2 and n >= 1")
+    log_alpha = math.log(q.alpha)
+    if q.method == "exact":
+        ev = _evaluator(k, n)
+        obj = log_eval_gkn_grid(ev, _LAMBDA_GRID) - log_alpha
+        obj[0] = math.inf  # lambda = 0 is excluded; nothing divides by it
+        obj[1:] /= _LAMBDA_GRID[1:]
+        return _grid_argmin(lambda lam: (log_eval_gkn(ev, lam) - log_alpha) / lam, obj)[0]
+    if q.method in _LOG_FACTORS:
+        return _LOG_FACTORS[q.method](k, n) - log_alpha
 
-    def bound_at(t: float) -> float:
-        return evaluate_bound(q.method, TailQuery(q.shape, t)).value
-
-    if not defined_at(q.method, k, k - 1):
-        # the plug-in bounds exist only above the line t = k - 1
-        lo = (k - 1) * (1.0 + 1e-12) + 1e-12
-    else:
-        lo = meaningful_threshold(q.shape)
-        while lo > 1e-12 and bound_at(lo) < q.alpha:
-            lo /= 2.0
-
-    hi = max(4.0 * (k - 1), 10.0)
-    for _ in range(_MAX_DOUBLINGS):
-        if bound_at(hi) < q.alpha:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"bound {q.method!r} never dropped below alpha={q.alpha} while bracketing"
-        )
-
+    lo, hi = k - 1.0, _log_g_one(k, n) + 2.0 * (k - 1) - 2.0 * log_alpha
     tol = CRITICAL_REL_TOL * q.alpha
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        value = bound_at(mid)
+        value = evaluate_bound(q.method, TailQuery(q.shape, mid)).value
         if abs(value - q.alpha) <= tol:
             return mid
         if value > q.alpha:
@@ -117,7 +114,8 @@ def coord_upper_bound(
     contribution (log-sum inequality), so the ball constraint collapses to
     the binary relative entropy d(phat_coord, v) <= t / n.  The answer is the
     largest root of n * d(phat_coord, v) = t on [phat_coord, 1), found by
-    bisection to 1e-12; degenerate phat_coord = 1 returns 1.
+    bisection to 1e-12 on [phat_coord, 1], which brackets it because
+    d(phat_coord, 1) = +inf; degenerate phat_coord = 1 returns 1.
     """
     if not t > 0.0:
         raise ValueError(f"deviation level t must be positive, got {t}")
@@ -134,12 +132,7 @@ def coord_upper_bound(
         return CoordinateCI(coord=coord, upper=1.0, t_used=t)
     target = t / shape.n
 
-    lo = a
-    hi = 1.0 - (1.0 - a) / 2.0
-    while binary_kl(a, hi) <= target:
-        lo = hi
-        # halve the distance to 1; the divergence is +inf once hi rounds to 1
-        hi = 1.0 - (1.0 - hi) / 2.0
+    lo, hi = a, 1.0
     while hi - lo > KL_ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if binary_kl(a, mid) > target:

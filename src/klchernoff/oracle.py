@@ -154,10 +154,16 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
     return math.exp(logsumexp(np.asarray(block_sums)))
 
 
+def _require_finite(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"threshold t must be finite, got {t}")
+
+
 def tail_exact(shape: ExperimentShape, p: ProbVector, t: float) -> float:
     """P(n * D(phat || p) > t) by exact enumeration (strict inequality)."""
     if len(p) != shape.k:
         raise ValueError("probability vector length must equal k")
+    _require_finite(t)
     _check_guard(shape)
     if shape.n == 0:
         return 0.0 if t >= 0.0 else 1.0
@@ -218,6 +224,7 @@ def mc_tail(
     """
     if len(p) != shape.k:
         raise ValueError("probability vector length must equal k")
+    _require_finite(t)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if chunk_size < 1:

@@ -53,6 +53,8 @@ def _tampered(ev: GknEvaluator) -> GknEvaluator:
 
 def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool = False) -> list[PropertyResult]:
     """Run every property over k in [2, max_k], n in [1, max_n]."""
+    if max_k < 2 or max_n < 1:
+        raise ValueError(f"verify needs max_k >= 2 and max_n >= 1, got max_k={max_k}, max_n={max_n}")
     rng = np.random.default_rng(seed)
     shapes = [ExperimentShape(k, n) for k in range(2, max_k + 1) for n in range(1, max_n + 1)]
 

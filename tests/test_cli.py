@@ -6,6 +6,7 @@ import pytest
 
 from klchernoff.cli import main
 from klchernoff.data import butterfly_fixture_path
+from klchernoff.verify import run_suite
 
 NUMBER_OR_NULL = {"type": ["number", "null"]}
 PROBABILITY = {"type": "number", "minimum": 0.0, "maximum": 1.0}
@@ -188,6 +189,19 @@ def test_verify_minimal_grid(capsys):
     assert code == 0
 
 
+def test_verify_empty_grid_exits_one(capsys):
+    # an empty shape grid runs no checks, so it must not report PASS
+    for args in (("--max-k", "1"), ("--max-n", "0")):
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == 1
+        assert out == ""
+        assert "max_k >= 2 and max_n >= 1" in err
+    with pytest.raises(ValueError):
+        run_suite(max_k=1)
+    with pytest.raises(ValueError):
+        run_suite(max_n=0)
+
+
 def test_mc_tail_deterministic_and_seeded(capsys, monkeypatch):
     args = ("mc-tail", "--k", "3", "--n", "10", "--t", "1.5", "--samples", "20000", "--seed", "4")
     code, out1, _ = run_cli(capsys, *args)
@@ -215,6 +229,7 @@ def test_domain_errors_exit_one(capsys):
     assert run_cli(capsys, "bound", "--k", "0", "--n", "2", "--t", "5")[0] == 1
     assert run_cli(capsys, "bound", "--k", "2", "--n", "2", "--t", "-1")[0] == 1
     assert run_cli(capsys, "mc-tail", "--k", "2", "--n", "1", "--t", "0.1", "--p", "0.2,0.9")[0] == 1
+    assert run_cli(capsys, "mc-tail", "--k", "3", "--n", "10", "--t", "1", "--p", "0.5,0.5,nan")[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -225,6 +240,8 @@ def test_domain_errors_exit_one(capsys):
         ("bound", "--k", "3", "--n", "10", "--t", "inf"),
         ("sweep", "--k", "3", "--n", "10", "--t-min", "1", "--t-max", "inf", "--points", "5"),
         ("sweep", "--k", "3", "--n", "10", "--t-min", "nan", "--t-max", "3", "--points", "5"),
+        ("mc-tail", "--k", "3", "--n", "10", "--t", "nan"),
+        ("mc-tail", "--k", "3", "--n", "10", "--t", "inf"),
     ],
 )
 def test_non_finite_t_exits_one(capsys, args):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from klchernoff.bounds import TailQuery, evaluate_bound
+from klchernoff.bounds import BOUND_METHODS, TailQuery, chernoff_exact, evaluate_bound
 from klchernoff.data import FrequencyTable
 from klchernoff.gkn import ExperimentShape
 from klchernoff.inversion import (
@@ -54,6 +54,63 @@ def test_round_trip_random_queries():
         t_star = critical_value(query)
         achieved = evaluate_bound(method, TailQuery(query.shape, t_star)).value
         assert achieved == pytest.approx(alpha, rel=1e-9)
+
+
+def test_direct_inversion_round_trip_to_rounding():
+    # the dual and closed-form inversions hit alpha to rounding, not to a bisection tolerance
+    rng = np.random.default_rng(53)
+    for i in range(40):
+        k = int(rng.integers(2, 30))
+        n = int(rng.integers(1, 400))
+        alpha = float(10 ** rng.uniform(-12, -0.05))
+        method = ("exact", "lambda_one", "types", "mardia")[i % 4]
+        shape = ExperimentShape(k, n)
+        t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
+        achieved = evaluate_bound(method, TailQuery(shape, t_star)).value
+        assert achieved == pytest.approx(alpha, rel=1e-12)
+
+
+def test_exact_inversion_minimizer_below_first_grid_point():
+    shape = ExperimentShape(2, 1000)
+    alpha = 1 - 1e-6
+    t_star = critical_value(CriticalValueQuery(shape, alpha))
+    result = chernoff_exact(TailQuery(shape, t_star))
+    assert 0.0 < result.lambda_used < 1.0 / 511
+    assert result.value == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", BOUND_METHODS)
+@pytest.mark.parametrize("k, n, alpha", [(2, 1000, 1 - 1e-6), (3, 5, 1e-300)])
+def test_inversion_extreme_alpha(method, k, n, alpha):
+    shape = ExperimentShape(k, n)
+    t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
+    achieved = evaluate_bound(method, TailQuery(shape, t_star)).value
+    assert achieved == pytest.approx(alpha, rel=1e-9)
+
+
+def _bisect_reference(method, shape, alpha):
+    """Crossing of bound(t) = alpha by doubling and plain bisection on t."""
+
+    def above(t):
+        if method in ("corrected", "uncorrected") and t <= shape.k - 1:
+            return True
+        return evaluate_bound(method, TailQuery(shape, t)).value > alpha
+
+    lo, hi = 1e-9, 1.0
+    while above(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("method", BOUND_METHODS)
+@pytest.mark.parametrize("k, n, alpha", [(2, 7, 0.3), (5, 40, 0.05), (12, 300, 1e-4)])
+def test_inversion_matches_bisection_reference(method, k, n, alpha):
+    shape = ExperimentShape(k, n)
+    t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
+    assert abs(t_star - _bisect_reference(method, shape, alpha)) <= 1e-6
 
 
 def test_binary_kl():

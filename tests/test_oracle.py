@@ -27,6 +27,10 @@ def test_prob_vector_validation():
         ProbVector((0.5, -0.5, 1.0))
     with pytest.raises(ValueError):
         ProbVector((0.5, 0.5001))
+    for bad in (math.nan, math.inf, -math.inf):
+        # nan passes both the sign and the sum check, so it needs its own rule
+        with pytest.raises(ValueError, match="finite"):
+            ProbVector((0.5, 0.5, bad))
     assert len(ProbVector((0.2, 0.3, 0.5))) == 3
 
 
@@ -173,3 +177,8 @@ def test_mc_validation():
         mc_tail(ExperimentShape(2, 1), UNIFORM2, 0.1, samples=10, seed=0, workers=0)
     with pytest.raises(ValueError):
         mc_tail(ExperimentShape(3, 1), UNIFORM2, 0.1, samples=10, seed=0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mc_tail(ExperimentShape(2, 3), UNIFORM2, t, samples=10, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            tail_exact(ExperimentShape(2, 3), UNIFORM2, t)
