@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gkn import (
     ExperimentShape,
@@ -210,8 +209,14 @@ def lambda_one_bound(q: TailQuery) -> BoundResult:
 
 
 def log_types_factor(k: int, n: int) -> float:
-    """log C(n+k-1, k-1), the number of possible empirical types."""
-    return float(gammaln(n + k) - gammaln(n + 1.0) - gammaln(float(k)))
+    """log C(n+k-1, k-1), the number of possible empirical types.
+
+    Summed as log C(m+j, j) = sum_{i=1}^{j} log1p(m/i) with j = min(k-1, n)
+    and m = max(k-1, n); no term cancels, so the result is accurate to a
+    few ulps even at n = 10^6.
+    """
+    j, m = sorted((k - 1, n))
+    return float(np.sum(np.log1p(m / np.arange(1.0, j + 1.0))))
 
 
 def types_bound(q: TailQuery) -> BoundResult:

@@ -6,6 +6,8 @@ tails by seeded Monte Carlo where enumeration is out of reach.  These
 routines are deliberately independent of the coefficient-based evaluation in
 :mod:`klchernoff.gkn` so the two can cross-check each other; they share only
 the log-sum-exp reduction, which is tested on its own against SciPy's.
+SciPy's special functions are imported inside the routines that use them,
+so importing this module (and the package) does not load SciPy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln, rel_entr, xlogy
 
 from .data import ProbVector
 from .gkn import ExperimentShape, logsumexp
@@ -40,6 +41,8 @@ def kl_divergence(phat: ProbVector, p: ProbVector) -> float:
     """
     if len(phat) != len(p):
         raise ValueError(f"length mismatch: {len(phat)} vs {len(p)}")
+    from scipy.special import rel_entr
+
     return float(rel_entr(phat.as_array(), p.as_array()).sum())
 
 
@@ -87,6 +90,8 @@ def _count_blocks(shape: ExperimentShape) -> Iterator[np.ndarray]:
 def enumerate_outcomes(shape: ExperimentShape) -> Iterator[Outcome]:
     """Every count vector exactly once, in lexicographic order."""
     _check_guard(shape)
+    from scipy.special import gammaln
+
     lg_n = gammaln(shape.n + 1.0)
     for block in _count_blocks(shape):
         coeffs = lg_n - gammaln(block + 1.0).sum(axis=1)
@@ -96,6 +101,8 @@ def enumerate_outcomes(shape: ExperimentShape) -> Iterator[Outcome]:
 
 def _block_stats(block: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row: log multinomial coeff, sum X log(X/n), sum X log p (or -inf)."""
+    from scipy.special import gammaln, xlogy
+
     log_coeff = gammaln(n + 1.0) - gammaln(block + 1.0).sum(axis=1)
     a = xlogy(block, block).sum(axis=1) - n * math.log(n)
     support = p > 0.0
@@ -141,6 +148,8 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
     _check_guard(shape)
     if shape.n == 0:
         return 1.0
+    from scipy.special import gammaln, xlogy
+
     parr = p.as_array()
     n = shape.n
     block_sums = []
@@ -189,6 +198,8 @@ class MCTailResult:
 
 
 def _sample_chunk(shape: ExperimentShape, p: np.ndarray, t: float, size: int, seed: int, chunk_index: int) -> int:
+    from scipy.special import xlogy
+
     rng = np.random.default_rng([seed, chunk_index])
     k, n = shape.k, shape.n
     counts = np.zeros((size, k), dtype=np.int64)

@@ -119,6 +119,12 @@ def test_types_examples():
         assert types_bound(q(2, 2, t)).value >= lambda_one_bound(q(2, 2, t)).value
 
 
+@pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029), (6, 100), (1, 50), (7, 0)])
+def test_log_types_factor_matches_exact_binomial(k, n):
+    # reference: math.log of the exact big integer
+    assert log_types_factor(k, n) == pytest.approx(math.log(math.comb(n + k - 1, k - 1)), rel=1e-14)
+
+
 def test_mardia_factor_examples():
     assert mardia_factor(2, 7) == pytest.approx(12 / math.pi, rel=1e-13)
     assert mardia_factor(2, 9000) == pytest.approx(12 / math.pi, rel=1e-13)

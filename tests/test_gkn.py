@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,33 @@ def test_log_coefficient_invariants(k, n):
     if ev.exact_coeffs is not None:
         for log_c, exact in zip(ev.log_coeffs, ev.exact_coeffs):
             assert math.exp(log_c) == pytest.approx(float(exact), rel=1e-12)
+
+
+def _reference_log_g(k, n, lam):
+    """log G_{k,n}(lam) summed in 40-digit decimal arithmetic.
+
+    Walks the term ratio lam (n-j)(j+k-1) / (n (j+1)) from the exact binary
+    value of ``lam``.  The ratio decreases in j, so once a term past the peak
+    falls below 1e-45 of the running total the rest cannot reach the 40th digit.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(lam)
+        term = total = Decimal(1)
+        for j in range(n):
+            prev, term = term, term * x * (n - j) * (j + k - 1) / (n * (j + 1))
+            total += term
+            if term < prev and term < total * Decimal("1e-45"):
+                break
+        return total.ln()
+
+
+@pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029)])
+def test_large_shape_log_eval_matches_decimal_reference(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    for lam in (0.3, 0.9, 1.0):
+        ref = _reference_log_g(k, n, lam)
+        assert log_eval_gkn(ev, lam) == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_strictly_increasing_on_unit_interval():

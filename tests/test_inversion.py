@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from klchernoff.bounds import BOUND_METHODS, TailQuery, chernoff_exact, evaluate_bound
 from klchernoff.data import FrequencyTable
@@ -120,6 +121,16 @@ def test_binary_kl():
     assert binary_kl(0.5, 1.0) == math.inf
     with pytest.raises(ValueError):
         binary_kl(-0.1, 0.5)
+
+
+def test_binary_kl_matches_scipy_rel_entr():
+    # equal to rounding, +inf cases included; plain x log(x/y) is off by
+    # 1e-7 relative at (0, 1e-9)
+    grid = (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0)
+    for a in grid:
+        for v in grid:
+            ref = float(scipy.special.rel_entr(a, v) + scipy.special.rel_entr(1.0 - a, 1.0 - v))
+            assert binary_kl(a, v) == pytest.approx(ref, rel=1e-15, abs=0.0), (a, v)
 
 
 def test_coord_upper_closed_form_for_unseen():
