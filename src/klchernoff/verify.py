@@ -48,7 +48,7 @@ def _tampered(ev: GknEvaluator) -> GknEvaluator:
     else:
         log_coeffs[0] = math.log(2.0)
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=ev.shape, log_coeffs=log_coeffs, exact_coeffs=None)
+    return GknEvaluator(shape=ev.shape, log_coeffs=log_coeffs, exact_coeffs=None, tail=ev.tail)
 
 
 def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool = False) -> list[PropertyResult]:

@@ -78,6 +78,11 @@ def test_exact_matches_dense_grid_spot():
     assert chernoff_exact(q(3, 10, 8.0)).log_value == pytest.approx(dense, abs=1e-9)
 
 
+def test_exact_at_million_draws_regression():
+    # value of the full 10^6 + 1 term sum, before the coefficient table was cut
+    assert chernoff_exact(q(2, 10**6, 6.0)).log_value == pytest.approx(-3.2082655307594674, rel=1e-12)
+
+
 def test_uncorrected_examples():
     r = chernoff_uncorrected(q(2, 1, 2.0))
     assert r.lambda_used == pytest.approx(0.5)

@@ -88,6 +88,29 @@ def _reference_log_g(k, n, lam):
         return total.ln()
 
 
+def _full_log_coeffs(k, n):
+    """All n + 1 log-coefficients by the ratio walk, without the cut."""
+    j = np.arange(n, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0)))))
+
+
+@pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029), (2, 1000)])
+def test_cut_table_certifies_its_tail(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    full = _full_log_coeffs(k, n)
+    kept = ev.log_coeffs.size
+    assert kept < n + 1
+    assert 0.0 < ev.tail <= 2.0**-60
+    np.testing.assert_array_equal(ev.log_coeffs, full[:kept])
+    m = np.arange(n + 1, dtype=float)
+    for lam in (0.3, 0.9, 1.0):
+        terms = full + m * math.log(lam)
+        dropped = float(np.exp(terms[kept:]).sum())
+        assert dropped <= ev.tail * lam**kept
+        full_log_g = float(scipy.special.logsumexp(terms))
+        assert log_eval_gkn(ev, lam) >= full_log_g - 4 * math.ulp(full_log_g)
+
+
 @pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029)])
 def test_large_shape_log_eval_matches_decimal_reference(k, n):
     ev = build_evaluator(ExperimentShape(k, n))
@@ -115,13 +138,15 @@ def test_eval_examples():
 
 
 def test_grid_matches_scalar_eval():
-    ev = build_evaluator(ExperimentShape(5, 17))
-    grid = np.linspace(0.0, 1.0, 37)
-    vec = log_eval_gkn_grid(ev, grid)
-    for lam, expected in zip(grid, vec):
-        assert log_eval_gkn(ev, float(lam)) == pytest.approx(expected, rel=1e-14, abs=1e-14)
-    with pytest.raises(ValueError):
-        log_eval_gkn_grid(ev, np.array([0.5, 1.5]))
+    # (436, 2029) keeps 1,710 of its 2,030 terms
+    for shape in (ExperimentShape(5, 17), ExperimentShape(436, 2029)):
+        ev = build_evaluator(shape)
+        grid = np.linspace(0.0, 1.0, 37)
+        vec = log_eval_gkn_grid(ev, grid)
+        for lam, expected in zip(grid, vec):
+            assert log_eval_gkn(ev, float(lam)) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+        with pytest.raises(ValueError):
+            log_eval_gkn_grid(ev, np.array([0.5, 1.5]))
 
 
 def test_derivative_examples():
@@ -133,10 +158,13 @@ def test_derivative_examples():
 
 
 def test_derivative_matches_finite_difference():
-    ev = build_evaluator(ExperimentShape(3, 4))
-    lam, h = 0.3, 1e-6
-    central = (eval_gkn(ev, lam + h) - eval_gkn(ev, lam - h)) / (2 * h)
-    assert eval_gkn_deriv(ev, lam) == pytest.approx(central, rel=1e-8)
+    # (2, 1000) keeps 279 of its 1,001 terms
+    h = 1e-6
+    for shape in (ExperimentShape(3, 4), ExperimentShape(2, 1000)):
+        ev = build_evaluator(shape)
+        for lam in (0.3, 0.9):
+            central = (eval_gkn(ev, lam + h) - eval_gkn(ev, lam - h)) / (2 * h)
+            assert eval_gkn_deriv(ev, lam) == pytest.approx(central, rel=1e-8)
 
 
 def test_limit_examples():
