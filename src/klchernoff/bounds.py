@@ -127,9 +127,18 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _grid_argmin(f, obj: np.ndarray) -> tuple[float, float]:
-    """(min, argmin) of f on [0, 1] from its values obj on the grid, refining every basin."""
+def _lambda_min(k: int, n: int, phi) -> tuple[float, float]:
+    """(min, argmin) over lambda in [0, 1] of phi(lambda, log G(lambda)).
+
+    The one lambda search of the package.  ``phi`` takes arrays and scalars
+    alike.  It is evaluated on the 512-point ``_LAMBDA_GRID`` to isolate
+    every basin, and golden-section refinement resolves each to 1e-12.
+    Refinement evaluates only interior points of the brackets, so a ``phi``
+    that is +inf at lambda = 0 excludes that point without a scalar call.
+    """
+    ev = _evaluator(k, n)
     lams = _LAMBDA_GRID
+    obj = phi(lams, log_eval_gkn_grid(ev, lams))
     candidates: list[tuple[float, float]] = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
     interior = np.flatnonzero((obj[1:-1] <= obj[:-2]) & (obj[1:-1] <= obj[2:])) + 1
     brackets = [(float(lams[j - 1]), float(lams[j + 1])) for j in interior]
@@ -138,7 +147,7 @@ def _grid_argmin(f, obj: np.ndarray) -> tuple[float, float]:
     if obj[-1] <= obj[-2]:
         brackets.append((float(lams[-2]), 1.0))
     for a, b in brackets:
-        x, fx = _golden_min(f, a, b, REFINE_TOL)
+        x, fx = _golden_min(lambda lam: phi(lam, log_eval_gkn(ev, lam)), a, b, REFINE_TOL)
         candidates.append((fx, x))
     return min(candidates)
 
@@ -146,15 +155,12 @@ def _grid_argmin(f, obj: np.ndarray) -> tuple[float, float]:
 def chernoff_exact(q: TailQuery) -> BoundResult:
     """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1].
 
-    The objective is smooth but can have more than one local minimum, so a
-    512-point uniform grid scan (in log domain) isolates every candidate
-    basin and golden-section refinement resolves each to 1e-12.
+    The objective is smooth but can have more than one local minimum;
+    :func:`_lambda_min` finds the smallest of log G(lambda) - lambda t.
     """
     k, n = _require_shape(q)
-    ev = _evaluator(k, n)
     t = q.t
-    obj = log_eval_gkn_grid(ev, _LAMBDA_GRID) - _LAMBDA_GRID * t
-    log_value, lam_star = _grid_argmin(lambda lam: log_eval_gkn(ev, lam) - lam * t, obj)
+    log_value, lam_star = _lambda_min(k, n, lambda lam, lg: lg - lam * t)
     return _make_result("exact", log_value, lam_star)
 
 
@@ -305,14 +311,12 @@ _DISPATCH = {
     "types": types_bound,
     "mardia": mardia_bound,
     "agrawal_limit": agrawal_limit_bound,
+    "asymp_gamma": lambda q: _make_result("asymp_gamma", log_asymp_gamma_tail(q.shape.k, q.t)),
 }
 
 
 def evaluate_bound(method: str, q: TailQuery) -> BoundResult:
     """Evaluate one bound method (or the gamma reference) on a query."""
-    if method == "asymp_gamma":
-        log_value = log_asymp_gamma_tail(q.shape.k, q.t)
-        return _make_result("asymp_gamma", log_value)
     try:
         fn = _DISPATCH[method]
     except KeyError:

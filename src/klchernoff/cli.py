@@ -22,7 +22,6 @@ from .inversion import CoordinateCI, CriticalValueQuery, coord_upper_bound, crit
 from .oracle import mc_tail
 from .verify import run_suite
 
-_JSON_DIGITS = 17
 _CSV_DIGITS = 10
 
 
@@ -30,18 +29,8 @@ def _default_seed() -> int:
     return int(os.environ.get("KLCHERNOFF_SEED", "0"))
 
 
-def _round_floats(obj, digits: int):
-    if isinstance(obj, float):
-        return float(format(obj, f".{digits}g"))
-    if isinstance(obj, dict):
-        return {key: _round_floats(value, digits) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(value, digits) for value in obj]
-    return obj
-
-
 def _emit_json(obj) -> None:
-    print(json.dumps(_round_floats(obj, _JSON_DIGITS), indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _csv_cell(value) -> str:

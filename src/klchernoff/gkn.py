@@ -13,8 +13,7 @@ from c_0 = 1, which keeps log G within ~1e-15 relative of its exact value.
 Since that ratio decreases in m, the terms past the peak shrink at least
 geometrically, and each table is cut once, at the first index whose
 geometric tail bound falls to 2^-60; every evaluation adds that certified
-tail back, so log G is rounded up, never down.  Small shapes additionally
-carry exact rational coefficients for bit-exact checks.
+tail back, so log G is rounded up, never down.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -26,16 +25,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .special import log_upper_gamma
-
-# Exact rationals are kept while both k and n stay at or below this; beyond it
-# only the log-domain coefficients exist (the butterfly workload sits at
-# k = 436, n = 2029, far past exact arithmetic).
-EXACT_COEFF_LIMIT = 30
 
 # Cap on temporary entries when evaluating on a lambda grid.
 _CHUNK_ENTRIES = 8_000_000
@@ -70,23 +63,12 @@ class GknEvaluator:
     ``tail * lambda**(M+1)``.  Shapes that need every term keep all n + 1
     coefficients and ``tail = 0``.  For the degenerate shapes (k = 1 or
     n = 0) the polynomial is the constant 1 and a single zero
-    log-coefficient is stored.  ``exact_coeffs`` holds all n + 1
-    coefficients as exact rationals when the shape is small enough.
+    log-coefficient is stored.
     """
 
     shape: ExperimentShape
     log_coeffs: np.ndarray
-    exact_coeffs: tuple[Fraction, ...] | None = None
     tail: float = 0.0
-
-
-def _exact_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
-    if k == 1 or n == 0:
-        return (Fraction(1),)
-    return tuple(
-        Fraction(math.factorial(n), n**m * math.factorial(n - m)) * math.comb(m + k - 2, k - 2)
-        for m in range(n + 1)
-    )
 
 
 def _cut(log_coeffs: np.ndarray, log_ratio: np.ndarray) -> tuple[int, float]:
@@ -126,7 +108,6 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
     tail = 0.0
     if k == 1 or n == 0:
         log_coeffs = np.zeros(1)
-        exact: tuple[Fraction, ...] | None = (Fraction(1),)
     else:
         j = np.arange(n, dtype=float)
         log_ratio = np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
@@ -136,9 +117,8 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
         kept, tail = _cut(log_coeffs, log_ratio)
         if kept <= n:
             log_coeffs = log_coeffs[:kept].copy()
-        exact = _exact_coefficients(k, n) if (k <= EXACT_COEFF_LIMIT and n <= EXACT_COEFF_LIMIT) else None
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, exact_coeffs=exact, tail=tail)
+    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, tail=tail)
 
 
 def _check_unit_interval(lam: float) -> None:
@@ -182,7 +162,7 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     arr = np.asarray(lams, dtype=float)
     if arr.ndim != 1:
         raise ValueError("lambda grid must be one-dimensional")
-    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
         raise ValueError("lambda grid must lie in [0, 1]")
     out = np.zeros(arr.size)
     if ev.log_coeffs.size == 1:

@@ -15,10 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BOUND_METHODS, TailQuery, evaluate_bound, log_mardia_factor, log_types_factor
-from .bounds import _LAMBDA_GRID, _evaluator, _grid_argmin, _log_g_one
+from .bounds import _lambda_min, _log_g_one
 from .data import FrequencyTable, ProbVector
-from .gkn import ExperimentShape, log_eval_gkn, log_eval_gkn_grid
+from .gkn import ExperimentShape
 
 CRITICAL_REL_TOL = 1e-9
 KL_ROOT_TOL = 1e-12
@@ -62,7 +64,8 @@ def critical_value(q: CriticalValueQuery) -> float:
     """The deviation t* where the chosen bound equals alpha.
 
     exact: t* = min over lambda in (0, 1] of (log G(lambda) - log alpha) / lambda,
-    the dual of the bound's own minimization, solved by the same grid search.
+    the dual of the bound's own minimization, solved by the same search,
+    :func:`klchernoff.bounds._lambda_min`.
     lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
     corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
     and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between.
@@ -73,11 +76,9 @@ def critical_value(q: CriticalValueQuery) -> float:
         raise ValueError("critical values require k >= 2 and n >= 1")
     log_alpha = math.log(q.alpha)
     if q.method == "exact":
-        ev = _evaluator(k, n)
-        obj = log_eval_gkn_grid(ev, _LAMBDA_GRID) - log_alpha
-        obj[0] = math.inf  # lambda = 0 is excluded; nothing divides by it
-        obj[1:] /= _LAMBDA_GRID[1:]
-        return _grid_argmin(lambda lam: (log_eval_gkn(ev, lam) - log_alpha) / lam, obj)[0]
+        # log G(0) - log alpha > 0, so lambda = 0 gives +inf and is excluded
+        with np.errstate(divide="ignore"):
+            return _lambda_min(k, n, lambda lam, lg: (lg - log_alpha) / lam)[0]
     if q.method in _LOG_FACTORS:
         return _LOG_FACTORS[q.method](k, n) - log_alpha
 

@@ -2,7 +2,8 @@
 
 Enumerates every multinomial outcome at desk scale to evaluate the MGF, the
 p-dependent polynomial definition, and exact tail probabilities; estimates
-tails by seeded Monte Carlo where enumeration is out of reach.  These
+tails by seeded Monte Carlo where enumeration is out of reach; gives the
+polynomial's coefficients as exact rationals for bit-exact checks.  These
 routines are deliberately independent of the coefficient-based evaluation in
 :mod:`klchernoff.gkn` so the two can cross-check each other; they share only
 the log-sum-exp reduction, which is tested on its own against SciPy's.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -132,6 +134,22 @@ def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
         if terms.size:
             block_sums.append(logsumexp(terms))
     return math.exp(logsumexp(np.asarray(block_sums)))
+
+
+def exact_coefficients(shape: ExperimentShape) -> tuple[Fraction, ...]:
+    """All n + 1 coefficients n! / (n^m (n-m)!) * C(m+k-2, k-2) of the
+    polynomial as exact rationals; ``(1,)`` for k = 1 or n = 0.
+
+    Built from the closed form, independently of the log-domain ratio walk
+    of :func:`klchernoff.gkn.build_evaluator`, so the two can be compared.
+    """
+    k, n = shape.k, shape.n
+    if k == 1 or n == 0:
+        return (Fraction(1),)
+    return tuple(
+        Fraction(math.factorial(n), n**m * math.factorial(n - m)) * math.comb(m + k - 2, k - 2)
+        for m in range(n + 1)
+    )
 
 
 def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> float:

@@ -17,7 +17,7 @@ from . import bounds
 from .gkn import ExperimentShape, GknEvaluator, _recurrence_residual, build_evaluator, eval_gkn
 from .oracle import gkn_from_definition, mgf_exact, random_prob_vector, tail_exact
 
-_LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+_CHECK_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _N_RANDOM_P = 5
 
 
@@ -48,7 +48,7 @@ def _tampered(ev: GknEvaluator) -> GknEvaluator:
     else:
         log_coeffs[0] = math.log(2.0)
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=ev.shape, log_coeffs=log_coeffs, exact_coeffs=None, tail=ev.tail)
+    return GknEvaluator(shape=ev.shape, log_coeffs=log_coeffs, tail=ev.tail)
 
 
 def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool = False) -> list[PropertyResult]:
@@ -78,7 +78,7 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
 
     for shape in shapes:
         ev = evaluator(shape)
-        for lam in _LAMBDA_GRID:
+        for lam in _CHECK_LAMBDAS:
             g = eval_gkn(ev, lam)
             values = [gkn_from_definition(shape, p, lam) for p in p_sets[shape]]
             spread = (max(values) - min(values)) / g

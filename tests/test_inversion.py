@@ -6,7 +6,7 @@ import scipy.special
 
 from klchernoff.bounds import BOUND_METHODS, TailQuery, chernoff_exact, evaluate_bound
 from klchernoff.data import FrequencyTable
-from klchernoff.gkn import ExperimentShape
+from klchernoff.gkn import ExperimentShape, build_evaluator, log_eval_gkn_grid
 from klchernoff.inversion import (
     CoordinateCI,
     CriticalValueQuery,
@@ -107,11 +107,25 @@ def _bisect_reference(method, shape, alpha):
 
 
 @pytest.mark.parametrize("method", BOUND_METHODS)
-@pytest.mark.parametrize("k, n, alpha", [(2, 7, 0.3), (5, 40, 0.05), (12, 300, 1e-4)])
+@pytest.mark.parametrize("k, n, alpha", [(2, 7, 0.3), (5, 40, 0.05), (12, 300, 1e-4), (31, 93, 0.119)])
 def test_inversion_matches_bisection_reference(method, k, n, alpha):
     shape = ExperimentShape(k, n)
     t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
     assert abs(t_star - _bisect_reference(method, shape, alpha)) <= 1e-6
+
+
+def test_exact_dual_matches_dense_scan_at_convex_then_concave_shape():
+    # At (31, 93) log G is convex on [0, ~0.775] and concave after, and the
+    # dual's minimizer is interior: t* = 39.0621, where lambda = 1 gives 39.51.
+    # The bisection reference inverts chernoff_exact, which shares the lambda
+    # search, so a search that errs in both agrees with it; a scan does not.
+    shape, alpha = ExperimentShape(31, 93), 0.119
+    lams = np.linspace(0.0, 1.0, 20_001)[1:]
+    dense = float(((log_eval_gkn_grid(build_evaluator(shape), lams) - math.log(alpha)) / lams).min())
+    t_star = critical_value(CriticalValueQuery(shape, alpha))
+    assert t_star <= dense + 1e-12
+    assert t_star == pytest.approx(dense, abs=1e-6)
+    assert t_star == pytest.approx(39.0621, abs=1e-4)
 
 
 def test_binary_kl():
