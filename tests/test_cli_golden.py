@@ -25,6 +25,11 @@ _RECORD_COMMANDS = {
     ],
     "critical_exact": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "exact"],
     "critical_mardia": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "mardia"],
+    "critical_corrected": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "corrected"],
+    "critical_uncorrected": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "uncorrected"],
+    "critical_agrawal_limit": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "agrawal_limit"],
+    "critical_lambda_one": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "lambda_one"],
+    "critical_types": ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "types"],
     "ci_unseen": ["ci-unseen", "--counts", "1,1,2,3,5,8", "--alpha", "0.05"],
     "ci_coord_alpha": ["ci-coord", "--counts", "4,6", "--coord", "2", "--alpha", "0.1"],
     "ci_coord_t": ["ci-coord", "--counts", "4,6", "--coord", "2", "--t", "1.0"],
