@@ -10,12 +10,14 @@ from .bounds import (
     ALL_METHODS,
     BOUND_METHODS,
     BoundResult,
+    CriticalValueQuery,
     TailQuery,
     agrawal_limit_bound,
     asymp_gamma_tail,
     chernoff_corrected,
     chernoff_exact,
     chernoff_uncorrected,
+    critical_value,
     evaluate_bound,
     lambda_one_bound,
     mardia_bound,
@@ -38,10 +40,8 @@ from .gkn import (
 )
 from .inversion import (
     CoordinateCI,
-    CriticalValueQuery,
     binary_kl,
     coord_upper_bound,
-    critical_value,
     unseen_upper_bound,
 )
 from .oracle import (

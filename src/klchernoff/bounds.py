@@ -1,4 +1,8 @@
-"""Upper bounds on P(n*D(phat || p) > t) for multinomial sampling.
+"""Upper bounds on P(n*D(phat || p) > t) for multinomial sampling, and their
+inverses.
+
+Each method is evaluated at a threshold t, and inverted into the critical
+value t(alpha) where it equals a target level alpha.
 
 All bound arithmetic happens in log domain and is clamped to 1 only on the
 probability scale: at t around 500 the linear-domain product of exp(-t) with
@@ -51,6 +55,8 @@ REFINE_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LAMBDA_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
 _LAMBDA_GRID.flags.writeable = False
+CRITICAL_REL_TOL = 1e-9
+_MAX_BISECTIONS = 500
 
 
 @dataclass(frozen=True)
@@ -183,12 +189,16 @@ def _require_above_line(q: TailQuery, method: str) -> tuple[int, int]:
     return k, n
 
 
+def _chernoff_at(method: str, q: TailQuery, lam: float) -> BoundResult:
+    """The Chernoff form exp(-lambda t) G(lambda) at one given lambda."""
+    log_value = log_eval_gkn(_evaluator(q.shape.k, q.shape.n), lam) - lam * q.t
+    return _make_result(method, log_value, lam)
+
+
 def chernoff_uncorrected(q: TailQuery) -> BoundResult:
     """Closed-form bound from the limit minimizer lambda = 1 - (k-1)/t."""
-    k, n = _require_above_line(q, "uncorrected")
-    lam = 1.0 - (k - 1) / q.t
-    log_value = log_eval_gkn(_evaluator(k, n), lam) - lam * q.t
-    return _make_result("uncorrected", log_value, lam)
+    k, _ = _require_above_line(q, "uncorrected")
+    return _chernoff_at("uncorrected", q, 1.0 - (k - 1) / q.t)
 
 
 def chernoff_corrected(q: TailQuery) -> BoundResult:
@@ -198,8 +208,7 @@ def chernoff_corrected(q: TailQuery) -> BoundResult:
     """
     k, n = _require_above_line(q, "corrected")
     lam = min(1.0 - (k - 1) / q.t + (k / (k - 1.0)) * (q.t - k + 1) / n, 1.0)
-    log_value = log_eval_gkn(_evaluator(k, n), lam) - lam * q.t
-    return _make_result("corrected", log_value, lam)
+    return _chernoff_at("corrected", q, lam)
 
 
 def _log_g_one(k: int, n: int) -> float:
@@ -209,9 +218,8 @@ def _log_g_one(k: int, n: int) -> float:
 
 def lambda_one_bound(q: TailQuery) -> BoundResult:
     """Combinatorial-factor form G(1) exp(-t)."""
-    k, n = _require_shape(q)
-    log_value = _log_g_one(k, n) - q.t
-    return _make_result("lambda_one", log_value, 1.0)
+    _require_shape(q)
+    return _chernoff_at("lambda_one", q, 1.0)
 
 
 def log_types_factor(k: int, n: int) -> float:
@@ -223,12 +231,6 @@ def log_types_factor(k: int, n: int) -> float:
     """
     j, m = sorted((k - 1, n))
     return float(np.sum(np.log1p(m / np.arange(1.0, j + 1.0))))
-
-
-def types_bound(q: TailQuery) -> BoundResult:
-    """Type-counting bound C(n+k-1, k-1) exp(-t)."""
-    k, n = _require_shape(q)
-    return _make_result("types", log_types_factor(k, n) - q.t)
 
 
 def log_mardia_factor(k: int, n: int) -> float:
@@ -256,10 +258,24 @@ def mardia_factor(k: int, n: int) -> float:
     return math.exp(log_mardia_factor(k, n))
 
 
+# log F of each method whose bound is F exp(-t); read by the bounds and their inverse
+_LOG_FACTORS = {"lambda_one": _log_g_one, "types": log_types_factor, "mardia": log_mardia_factor}
+
+
+def _factor_form(method: str, q: TailQuery) -> BoundResult:
+    """The factor form F exp(-t), with F the method's entry in ``_LOG_FACTORS``."""
+    k, n = _require_shape(q)
+    return _make_result(method, _LOG_FACTORS[method](k, n) - q.t)
+
+
+def types_bound(q: TailQuery) -> BoundResult:
+    """Type-counting bound C(n+k-1, k-1) exp(-t)."""
+    return _factor_form("types", q)
+
+
 def mardia_bound(q: TailQuery) -> BoundResult:
     """Comparison bound C_M(k, n) exp(-t) built from the factor alone."""
-    k, n = _require_shape(q)
-    return _make_result("mardia", log_mardia_factor(k, n) - q.t)
+    return _factor_form("mardia", q)
 
 
 def agrawal_limit_bound(q: TailQuery) -> BoundResult:
@@ -322,3 +338,57 @@ def evaluate_bound(method: str, q: TailQuery) -> BoundResult:
     except KeyError:
         raise ValueError(f"unknown bound method {method!r}; expected one of {ALL_METHODS}") from None
     return fn(q)
+
+
+@dataclass(frozen=True)
+class CriticalValueQuery:
+    """Target level alpha in (0, 1) and the bound method to invert."""
+
+    shape: ExperimentShape
+    alpha: float
+    method: str = "exact"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.method not in BOUND_METHODS:
+            raise ValueError(
+                f"cannot invert method {self.method!r}; expected one of {BOUND_METHODS} "
+                "(the gamma reference curve is not a bound)"
+            )
+
+
+def critical_value(q: CriticalValueQuery) -> float:
+    """The deviation t* where the chosen bound equals alpha.
+
+    exact: t* = min over lambda in (0, 1] of (log G(lambda) - log alpha) / lambda,
+    the dual of the bound's own minimization, solved by the same search,
+    :func:`_lambda_min`.
+    lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
+    corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
+    and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between.
+    The returned t* satisfies |bound(t*) - alpha| <= 1e-9 * alpha.
+    """
+    k, n = q.shape.k, q.shape.n
+    if k < 2 or n < 1:
+        raise ValueError("critical values require k >= 2 and n >= 1")
+    log_alpha = math.log(q.alpha)
+    if q.method == "exact":
+        # log G(0) - log alpha > 0, so lambda = 0 gives +inf and is excluded
+        with np.errstate(divide="ignore"):
+            return _lambda_min(k, n, lambda lam, lg: (lg - log_alpha) / lam)[0]
+    if q.method in _LOG_FACTORS:
+        return _LOG_FACTORS[q.method](k, n) - log_alpha
+
+    lo, hi = k - 1.0, _log_g_one(k, n) + 2.0 * (k - 1) - 2.0 * log_alpha
+    tol = CRITICAL_REL_TOL * q.alpha
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        value = evaluate_bound(q.method, TailQuery(q.shape, mid)).value
+        if abs(value - q.alpha) <= tol:
+            return mid
+        if value > q.alpha:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError("critical-value bisection failed to converge")

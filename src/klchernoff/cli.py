@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import bounds
+from .bounds import CriticalValueQuery, critical_value
 from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
-from .inversion import CoordinateCI, CriticalValueQuery, coord_upper_bound, critical_value, unseen_upper_bound
+from .inversion import CoordinateCI, coord_upper_bound, unseen_upper_bound
 from .oracle import mc_tail
 from .verify import run_suite
 

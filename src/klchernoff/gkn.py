@@ -52,7 +52,7 @@ class ExperimentShape:
             raise ValueError(f"sample size n must be >= 0, got {self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GknEvaluator:
     """Precomputed coefficient table of the polynomial for one shape.
 
@@ -63,7 +63,7 @@ class GknEvaluator:
     ``tail * lambda**(M+1)``.  Shapes that need every term keep all n + 1
     coefficients and ``tail = 0``.  For the degenerate shapes (k = 1 or
     n = 0) the polynomial is the constant 1 and a single zero
-    log-coefficient is stored.
+    log-coefficient is stored.  Evaluators compare and hash by identity.
     """
 
     shape: ExperimentShape
@@ -150,9 +150,6 @@ def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
 
 def eval_gkn(ev: GknEvaluator, lam: float) -> float:
     """Polynomial value at ``lam`` in [0, 1]; exactly 1 at lam = 0."""
-    if lam == 0.0:
-        _check_unit_interval(lam)
-        return 1.0
     return math.exp(log_eval_gkn(ev, lam))
 
 

@@ -1,12 +1,9 @@
-"""Critical values and simplex confidence bounds from the tail bounds.
+"""Simplex confidence bounds from a deviation level.
 
-Inverts a (continuous, nonincreasing) bound method into the deviation level
-where it equals a target level alpha, and turns that level into an upper
-confidence bound for a single simplex coordinate via the divergence-ball
-confidence region {p : n * D(phat || p) <= t}.  The exact bound is inverted
-through its dual form, one minimization over lambda; the factor bounds in
-closed form; the plug-in and large-n limit bounds by bisection on a fixed
-bracket.
+Turns a deviation level t into an upper confidence bound for a single
+simplex coordinate via the divergence-ball confidence region
+{p : n * D(phat || p) <= t}.  A confidence level alpha becomes a deviation
+level through :func:`klchernoff.bounds.critical_value`.
 """
 
 from __future__ import annotations
@@ -15,35 +12,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bounds import BOUND_METHODS, TailQuery, evaluate_bound, log_mardia_factor, log_types_factor
-from .bounds import _lambda_min, _log_g_one
+from .bounds import CriticalValueQuery, critical_value
 from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
 
-CRITICAL_REL_TOL = 1e-9
 KL_ROOT_TOL = 1e-12
-_MAX_BISECTIONS = 500
-_LOG_FACTORS = {"lambda_one": _log_g_one, "types": log_types_factor, "mardia": log_mardia_factor}
-
-
-@dataclass(frozen=True)
-class CriticalValueQuery:
-    """Target level alpha in (0, 1) and the bound method to invert."""
-
-    shape: ExperimentShape
-    alpha: float
-    method: str = "exact"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.method not in BOUND_METHODS:
-            raise ValueError(
-                f"cannot invert method {self.method!r}; expected one of {BOUND_METHODS} "
-                "(the gamma reference curve is not a bound)"
-            )
 
 
 @dataclass(frozen=True)
@@ -58,42 +31,6 @@ class CoordinateCI:
     upper: float
     t_used: float
     alpha: float | None = None
-
-
-def critical_value(q: CriticalValueQuery) -> float:
-    """The deviation t* where the chosen bound equals alpha.
-
-    exact: t* = min over lambda in (0, 1] of (log G(lambda) - log alpha) / lambda,
-    the dual of the bound's own minimization, solved by the same search,
-    :func:`klchernoff.bounds._lambda_min`.
-    lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
-    corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
-    and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between.
-    The returned t* satisfies |bound(t*) - alpha| <= 1e-9 * alpha.
-    """
-    k, n = q.shape.k, q.shape.n
-    if k < 2 or n < 1:
-        raise ValueError("critical values require k >= 2 and n >= 1")
-    log_alpha = math.log(q.alpha)
-    if q.method == "exact":
-        # log G(0) - log alpha > 0, so lambda = 0 gives +inf and is excluded
-        with np.errstate(divide="ignore"):
-            return _lambda_min(k, n, lambda lam, lg: (lg - log_alpha) / lam)[0]
-    if q.method in _LOG_FACTORS:
-        return _LOG_FACTORS[q.method](k, n) - log_alpha
-
-    lo, hi = k - 1.0, _log_g_one(k, n) + 2.0 * (k - 1) - 2.0 * log_alpha
-    tol = CRITICAL_REL_TOL * q.alpha
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        value = evaluate_bound(q.method, TailQuery(q.shape, mid)).value
-        if abs(value - q.alpha) <= tol:
-            return mid
-        if value > q.alpha:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("critical-value bisection failed to converge")
 
 
 def _rel_entr(x: float, y: float) -> float:

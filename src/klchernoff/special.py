@@ -67,15 +67,3 @@ def log_upper_gamma(a: float, z: float) -> float:
         return math.lgamma(a) + math.log1p(-p)
     return _log_upper_cf(a, z)
 
-
-def reg_upper_gamma(a: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(a, z) = Gamma(a, z) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if z < 0.0:
-        raise ValueError(f"lower limit must be nonnegative, got {z}")
-    if z == 0.0:
-        return 1.0
-    if z < a + 1.0:
-        return 1.0 - _reg_lower_series(a, z)
-    return math.exp(_log_upper_cf(a, z) - math.lgamma(a))

@@ -63,6 +63,15 @@ def test_degenerate_shapes_are_constant_one():
             assert eval_gkn(ev, lam) == 1.0
 
 
+def test_evaluators_compare_and_hash_by_identity():
+    # the table is an array, so a field-wise == or hash would raise
+    shape = ExperimentShape(3, 4)
+    ev = build_evaluator(shape)
+    assert ev == ev
+    assert (ev == build_evaluator(shape)) is False
+    assert {ev} == {ev}
+
+
 @pytest.mark.parametrize("k,n", [(2, 1), (3, 5), (7, 12), (30, 30), (100, 50), (436, 2029)])
 def test_log_coefficient_invariants(k, n):
     ev = build_evaluator(ExperimentShape(k, n))
