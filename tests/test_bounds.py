@@ -83,6 +83,11 @@ def test_exact_at_million_draws_regression():
     assert chernoff_exact(q(2, 10**6, 6.0)).log_value == pytest.approx(-3.2082655307594674, rel=1e-12)
 
 
+def test_exact_at_large_shape_regression():
+    # value before each coefficient table was cut per lambda
+    assert chernoff_exact(q(50, 10**5, 80.0)).log_value == pytest.approx(-6.984797063579272, rel=1e-12)
+
+
 def test_uncorrected_examples():
     r = chernoff_uncorrected(q(2, 1, 2.0))
     assert r.lambda_used == pytest.approx(0.5)

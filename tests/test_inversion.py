@@ -128,6 +128,12 @@ def test_exact_dual_matches_dense_scan_at_convex_then_concave_shape():
     assert t_star == pytest.approx(39.0621, abs=1e-4)
 
 
+def test_exact_inversion_at_butterfly_shape_regression():
+    # value before each coefficient table was cut per lambda
+    t_star = critical_value(CriticalValueQuery(ExperimentShape(436, 2029), 0.05, method="exact"))
+    assert t_star == pytest.approx(481.20148494857443, rel=1e-12)
+
+
 def test_binary_kl():
     assert binary_kl(0.3, 0.3) == 0.0
     assert binary_kl(0.0, 0.5) == pytest.approx(math.log(2))
