@@ -10,10 +10,13 @@ with G identically 1 for k = 1 or n = 0.  Coefficients are held in log form
 so that shapes as large as k ~ 500, n ~ 10^6 evaluate without overflow; they
 are built by walking the term ratio c_{m+1}/c_m = (1 - m/n)(1 + (k-2)/(m+1))
 from c_0 = 1, which keeps log G within ~1e-15 relative of its exact value.
-Since that ratio decreases in m, the terms past the peak shrink at least
-geometrically, and each table is cut once, at the first index whose
-geometric tail bound falls to 2^-60; every evaluation adds that certified
-tail back, so log G is rounded up, never down.
+Since that ratio decreases in m, the terms of G(lambda) past their peak
+shrink at least geometrically, at rate r_m * lambda.  Each table is cut at
+the first index whose geometric tail bound at lambda = 1 falls to 2^-60, and
+the same test marks a shorter prefix at each of the eight knots
+lambda_j = j/8: an evaluation at lambda sums only the prefix of the first knot
+lambda_j >= lambda and adds that knot's certified tail back, so log G is
+rounded up, never down.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -37,6 +40,11 @@ _CHUNK_ENTRIES = 8_000_000
 # reach the last bit of log G, whose truncated sum is at least c_0 = 1.
 _TAIL_MASS = 2.0**-60
 
+# An evaluation at lambda sums the prefix cut for the first knot >= lambda.
+# Eight are enough: a prefix past its own knot's cut costs little, and every
+# knot adds a group to each grid evaluation.
+_KNOTS = tuple(j / 8 for j in range(1, 9))
+
 
 @dataclass(frozen=True)
 class ExperimentShape:
@@ -57,10 +65,14 @@ class GknEvaluator:
     """Precomputed coefficient table of the polynomial for one shape.
 
     ``log_coeffs[m]`` is the natural log of the m-th coefficient, for m = 0
-    to M.  The table stops at the first M whose dropped coefficients
-    c_{M+1} + ... + c_n sum to at most ``tail`` <= 2^-60, so for
-    lambda in [0, 1] the dropped terms of G sum to at most
-    ``tail * lambda**(M+1)``.  Shapes that need every term keep all n + 1
+    to M.  ``cuts[j] = (kept_j, tail_j)`` belongs to the knot
+    lambda_j = (j + 1)/8: the terms c_i lambda_j^i for i >= kept_j sum to at
+    most ``tail_j`` <= 2^-60, so for lambda in [0, lambda_j] the terms of G
+    past ``log_coeffs[:kept_j]`` sum to at most
+    ``tail_j * (lambda/lambda_j)**kept_j``.  kept_j is nondecreasing in j,
+    and the last entry, for lambda = 1, is (M + 1, ``tail``): the table itself
+    stops at the first M whose dropped coefficients c_{M+1} + ... + c_n sum
+    to at most ``tail``.  Shapes that need every term keep all n + 1
     coefficients and ``tail = 0``.  For the degenerate shapes (k = 1 or
     n = 0) the polynomial is the constant 1 and a single zero
     log-coefficient is stored.  Evaluators compare and hash by identity.
@@ -68,24 +80,31 @@ class GknEvaluator:
 
     shape: ExperimentShape
     log_coeffs: np.ndarray
-    tail: float = 0.0
+    cuts: tuple[tuple[int, float], ...]
+
+    @property
+    def tail(self) -> float:
+        """Bound on the coefficients dropped from the table (the lambda = 1 cut)."""
+        return self.cuts[-1][1]
 
 
-def _cut(log_coeffs: np.ndarray, log_ratio: np.ndarray) -> tuple[int, float]:
-    """(M + 1, tail) for the shortest table ``log_coeffs[:M+1]`` whose dropped
-    coefficients sum to at most ``tail <= _TAIL_MASS``; (n + 1, 0.0) if none.
+def _cut(log_coeffs: np.ndarray, log_ratio: np.ndarray, log_lam: float) -> tuple[int, float]:
+    """(K, tail) for the shortest prefix ``log_coeffs[:K]`` whose dropped terms
+    c_i lam^i, i >= K, sum to at most ``tail <= _TAIL_MASS`` at
+    lam = exp(``log_lam``); (n + 1, 0.0) if none.
 
     ``log_ratio[i]`` is log(c_{i+1}/c_i); r_n = 0 ends the polynomial.
     """
     n = log_ratio.size
 
     def log_tail(i: int) -> float:
-        """log of the geometric bound on c_i + ... + c_n; +inf before the peak."""
-        log_r = float(log_ratio[i]) if i < n else -math.inf
-        return float(log_coeffs[i]) - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
+        """log of the geometric bound on c_i lam^i + ... + c_n lam^n; +inf before the peak."""
+        log_r = float(log_ratio[i]) + log_lam if i < n else -math.inf
+        return float(log_coeffs[i]) + i * log_lam - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
 
-    # The test is false up to the peak; past it both c_i and 1/(1 - r_i)
-    # fall, so it turns true once and stays true, and bisection finds it.
+    # The test is false up to the peak of c_i lam^i; past it both c_i lam^i and
+    # 1/(1 - r_i lam) fall, so it turns true once and stays true, and
+    # bisection finds it.
     kept = 1 + bisect.bisect_left(range(1, n + 1), True, key=lambda i: log_tail(i) <= math.log(_TAIL_MASS))
     return (kept, math.exp(log_tail(kept))) if kept <= n else (kept, 0.0)
 
@@ -102,23 +121,26 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
     past M sum to at most ``c_{M+1} / (1 - r_{M+1})``, a geometric series.
     The table keeps ``log_coeffs[:M+1]`` for the smallest M where that bound
     is at most 2^-60 and stores the bound as ``tail``: 9,602 of 10^6 + 1
-    terms at (2, 10^6), 1,710 of 2,030 at (436, 2029).
+    terms at (2, 10^6), 1,710 of 2,030 at (436, 2029).  The same test at each
+    knot lambda_j = j/8 gives the shorter prefixes in ``cuts``: at
+    lambda = 1/2, 61 terms at (2, 10^6) and 246 of 8,080 at (50, 10^5).
     """
     k, n = shape.k, shape.n
-    tail = 0.0
     if k == 1 or n == 0:
         log_coeffs = np.zeros(1)
+        cuts = [(1, 0.0)] * len(_KNOTS)
     else:
         j = np.arange(n, dtype=float)
         log_ratio = np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
         log_coeffs = np.empty(n + 1)
         log_coeffs[0] = 0.0
         np.cumsum(log_ratio, out=log_coeffs[1:])
-        kept, tail = _cut(log_coeffs, log_ratio)
+        cuts = [_cut(log_coeffs, log_ratio, math.log(knot)) for knot in _KNOTS]
+        kept = cuts[-1][0]
         if kept <= n:
             log_coeffs = log_coeffs[:kept].copy()
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, tail=tail)
+    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, cuts=tuple(cuts))
 
 
 def _check_unit_interval(lam: float) -> None:
@@ -137,15 +159,19 @@ def logsumexp(terms: np.ndarray):
 def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
     """Natural log of the polynomial at ``lam`` in [0, 1] (log-sum-exp).
 
-    Returns ``log S + tail * lam**(M+1)``, where S sums the M + 1 stored
-    terms.  The dropped terms add at most ``tail * lam**(M+1)`` to S >= 1,
+    With lambda_j the first knot >= ``lam`` and (kept_j, tail_j) its cut,
+    returns ``log S + tail_j * (lam/lambda_j)**kept_j``, where S sums the
+    first kept_j terms.  The dropped terms add at most that much to S >= 1,
     so the result is never below the exact log G (up to the rounding of S).
+    On (7/8, 1] this is the whole table plus ``tail * lam**(M+1)``.
     """
     _check_unit_interval(lam)
     if lam == 0.0 or ev.log_coeffs.size == 1:
         return 0.0
-    m = np.arange(ev.log_coeffs.size, dtype=float)
-    return float(logsumexp(ev.log_coeffs + m * math.log(lam))) + ev.tail * lam**ev.log_coeffs.size
+    j = bisect.bisect_left(_KNOTS, lam)
+    kept, tail = ev.cuts[j]
+    m = np.arange(kept, dtype=float)
+    return float(logsumexp(ev.log_coeffs[:kept] + m * math.log(lam))) + tail * (lam / _KNOTS[j]) ** kept
 
 
 def eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -154,8 +180,9 @@ def eval_gkn(ev: GknEvaluator, lam: float) -> float:
 
 
 def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
-    """Vectorized ``log_eval_gkn`` over a 1-d grid of lambda values, with the
-    same ``tail * lam**(M+1)`` added, so no value is below the exact log G."""
+    """Vectorized ``log_eval_gkn`` over a 1-d grid of lambda values.  The
+    columns are grouped by knot; each group sums its own prefix and adds its
+    own tail, so no value is below the exact log G."""
     arr = np.asarray(lams, dtype=float)
     if arr.ndim != 1:
         raise ValueError("lambda grid must be one-dimensional")
@@ -165,15 +192,17 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     if ev.log_coeffs.size == 1:
         return out
     nz = np.flatnonzero(arr > 0.0)
-    if nz.size == 0:
-        return out
-    lc = ev.log_coeffs[:, None]
+    knot_of = np.searchsorted(_KNOTS, arr[nz])
     m = np.arange(ev.log_coeffs.size, dtype=float)[:, None]
-    cols_per_chunk = max(1, _CHUNK_ENTRIES // ev.log_coeffs.size)
-    for start in range(0, nz.size, cols_per_chunk):
-        idx = nz[start : start + cols_per_chunk]
-        lams_chunk = arr[idx]
-        out[idx] = logsumexp(lc + m * np.log(lams_chunk)[None, :]) + ev.tail * lams_chunk**ev.log_coeffs.size
+    for j in np.unique(knot_of):
+        group = nz[knot_of == j]
+        kept, tail = ev.cuts[j]
+        lc = ev.log_coeffs[:kept, None]
+        cols_per_chunk = max(1, _CHUNK_ENTRIES // kept)
+        for start in range(0, group.size, cols_per_chunk):
+            idx = group[start : start + cols_per_chunk]
+            lams_chunk = arr[idx]
+            out[idx] = logsumexp(lc + m[:kept] * np.log(lams_chunk)[None, :]) + tail * (lams_chunk / _KNOTS[j]) ** kept
     return out
 
 

@@ -9,7 +9,7 @@ be demonstrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _tampered(ev: GknEvaluator) -> GknEvaluator:
     else:
         log_coeffs[0] = math.log(2.0)
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=ev.shape, log_coeffs=log_coeffs, tail=ev.tail)
+    return replace(ev, log_coeffs=log_coeffs)
 
 
 def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool = False) -> list[PropertyResult]:

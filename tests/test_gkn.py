@@ -109,21 +109,39 @@ def _full_log_coeffs(k, n):
     return np.concatenate(([0.0], np.cumsum(np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0)))))
 
 
-@pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029), (2, 1000)])
+KNOTS = [j / 8 for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029), (2, 1000), (6, 100), (31, 93)])
 def test_cut_table_certifies_its_tail(k, n):
     ev = build_evaluator(ExperimentShape(k, n))
     full = _full_log_coeffs(k, n)
     kept = ev.log_coeffs.size
-    assert kept < n + 1
-    assert 0.0 < ev.tail <= 2.0**-60
     np.testing.assert_array_equal(ev.log_coeffs, full[:kept])
+    # (31, 93) needs every term at lambda = 1, the others drop some
+    assert (kept == n + 1) == ((k, n) == (31, 93)) == (ev.tail == 0.0)
+    prefixes = [prefix for prefix, _ in ev.cuts]
+    assert len(ev.cuts) == len(KNOTS)
+    assert prefixes == sorted(prefixes) and prefixes[-1] == kept
+    assert all(0.0 <= tail <= 2.0**-60 for _, tail in ev.cuts)
     m = np.arange(n + 1, dtype=float)
-    for lam in (0.3, 0.9, 1.0):
+    lams = sorted({0.3, 0.9} | {x for knot in KNOTS for x in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 1.0))})
+    grid = log_eval_gkn_grid(ev, np.array(lams))
+    for lam, grid_value in zip(lams, grid):
+        knot = math.ceil(8 * lam) / 8  # the first knot >= lam
+        prefix, tail = ev.cuts[KNOTS.index(knot)]
+        added = tail * (lam / knot) ** prefix
         terms = full + m * math.log(lam)
-        dropped = float(np.exp(terms[kept:]).sum())
-        assert dropped <= ev.tail * lam**kept
+        assert float(np.exp(terms[prefix:]).sum()) <= added
         full_log_g = float(scipy.special.logsumexp(terms))
-        assert log_eval_gkn(ev, lam) >= full_log_g - 4 * math.ulp(full_log_g)
+        value = log_eval_gkn(ev, lam)
+        if lam in (0.3, 0.9, 1.0):
+            assert value >= full_log_g - 4 * math.ulp(full_log_g)
+        # never below log G, nor above it by more than the tail, up to the
+        # rounding of a sum of ``prefix`` positive terms
+        rounding = (prefix + 4) * 2.0**-53 + 4 * math.ulp(full_log_g)
+        for v in (value, grid_value):
+            assert full_log_g - rounding <= v <= full_log_g + added + rounding
 
 
 @pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029)])
