@@ -71,7 +71,9 @@ def coord_upper_bound(
     the binary relative entropy d(phat_coord, v) <= t / n.  The answer is the
     largest root of n * d(phat_coord, v) = t on [phat_coord, 1), found by
     bisection to 1e-12 on [phat_coord, 1], which brackets it because
-    d(phat_coord, 1) = +inf; degenerate phat_coord = 1 returns 1.
+    d(phat_coord, 1) = +inf.  The upper end of the final bracket is
+    returned: d > t / n was checked there, so it is never below the root.
+    Degenerate phat_coord = 1 returns 1.
     """
     if not t > 0.0:
         raise ValueError(f"deviation level t must be positive, got {t}")
@@ -95,7 +97,7 @@ def coord_upper_bound(
             hi = mid
         else:
             lo = mid
-    return CoordinateCI(coord=coord, upper=lo, t_used=t)
+    return CoordinateCI(coord=coord, upper=hi, t_used=t)
 
 
 def unseen_upper_bound(table: FrequencyTable, alpha: float) -> CoordinateCI:

@@ -207,6 +207,24 @@ def test_coord_upper_feasibility():
                 assert n * binary_kl(a, ci.upper + 1e-6) > t
 
 
+def test_coord_upper_is_never_below_the_ball_edge():
+    # (0.4, 0.6) at n = 10 is the ci-coord example; the lower end of the
+    # final bisection bracket lies up to 1e-12 inside the ball
+    shape = ExperimentShape(2, 10)
+    alpha_t = critical_value(CriticalValueQuery(shape, 0.1))
+    cases = [(ProbVector((0.4, 0.6)), shape, 2, t) for t in (1.0, alpha_t)]
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(1, 100))
+        phat = ProbVector(tuple(c / n for c in rng.multinomial(n, np.ones(k) / k)))
+        cases.append((phat, ExperimentShape(k, n), int(rng.integers(1, k + 1)), float(rng.uniform(0.05, 20.0))))
+    for phat, shape, coord, t in cases:
+        a = phat.probs[coord - 1]
+        ci = coord_upper_bound(phat, shape, coord, t)
+        if a < 1.0:
+            assert shape.n * binary_kl(a, ci.upper) >= t
+
+
 def test_coord_upper_monotone_in_t():
     phat = ProbVector((0.3, 0.7))
     shape = ExperimentShape(2, 10)
