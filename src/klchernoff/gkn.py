@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import log_upper_gamma
+from .special import log_upper_gamma_scaled
 
 # Cap on temporary entries when evaluating on a lambda grid.
 _CHUNK_ENTRIES = 8_000_000
@@ -238,17 +238,18 @@ def eval_gkn_limit(k: int, lam: float) -> float:
 def eval_g2n_gamma_form(n: int, lam: float) -> float:
     """k = 2 polynomial via the incomplete-gamma identity.
 
-    Evaluates n^-n lam^n e^(n/lam) Gamma(n+1, n/lam) in log domain; an
-    independent cross-check of :func:`eval_gkn` at k = 2.  Singular at
-    lam = 0, where the plain polynomial evaluation should be used instead.
+    Evaluates n^-n lam^n e^(n/lam) Gamma(n+1, n/lam) = z e^z z^-(n+1)
+    Gamma(n+1, z) with z = n/lam, in log domain through the scaled
+    incomplete gamma, so no terms of size n log n cancel; an independent
+    cross-check of :func:`eval_gkn` at k = 2.  Singular at lam = 0, where the
+    plain polynomial evaluation should be used instead.
     """
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     z = n / lam
-    log_val = -n * math.log(n) + n * math.log(lam) + z + log_upper_gamma(n + 1.0, z)
-    return math.exp(log_val)
+    return math.exp(math.log(z) + log_upper_gamma_scaled(n + 1.0, z))
 
 
 def _recurrence_residual(evaluator, k: int, n: int, lam: float) -> float:

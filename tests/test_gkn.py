@@ -225,6 +225,14 @@ def test_gamma_form_matches_polynomial(n):
         assert eval_g2n_gamma_form(n, lam) == pytest.approx(eval_gkn(ev, lam), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_gamma_form_has_no_cancellation_at_large_n(n):
+    # lambda = 0.3 and 0.9 take the continued fraction, lambda = 1 the series
+    ev = build_evaluator(ExperimentShape(2, n))
+    for lam in (0.3, 0.9, 1.0):
+        assert eval_g2n_gamma_form(n, lam) == pytest.approx(eval_gkn(ev, lam), rel=1e-13)
+
+
 def test_recurrence_examples():
     assert recurrence_residual(2, 1, 0.5) == pytest.approx(0.0, abs=1e-14)
     for lam in (0.0, 0.25, 0.7, 1.0):

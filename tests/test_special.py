@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from klchernoff.special import log_upper_gamma
+from klchernoff.special import log_upper_gamma, log_upper_gamma_scaled
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 100.0, 500.0])
@@ -41,6 +41,16 @@ def test_recurrence_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.5, 2.5, 10.0, 16.0, 100.0, 500.0])
+def test_scaled_form_matches_unscaled(a):
+    # at moderate a the unscaled form cancels little, so it is the reference;
+    # both regimes and both sides of the Stirling switch at a = 16 are covered
+    for z in np.geomspace(a / 20.0, a * 5.0, 25):
+        z = float(z)
+        unscaled = log_upper_gamma(a, z) + z - a * math.log(z)
+        assert log_upper_gamma_scaled(a, z) == pytest.approx(unscaled, rel=1e-12, abs=1e-12)
+
+
 def test_boundaries_and_errors():
     assert log_upper_gamma(3.0, 0.0) == math.lgamma(3.0)
     with pytest.raises(ValueError):
@@ -49,3 +59,7 @@ def test_boundaries_and_errors():
         log_upper_gamma(1.0, -0.5)
     with pytest.raises(ValueError):
         log_upper_gamma(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        log_upper_gamma_scaled(3.0, 0.0)
+    with pytest.raises(ValueError):
+        log_upper_gamma_scaled(0.0, 1.0)
