@@ -44,11 +44,6 @@ def _lower_series_sum(a: float, z: float) -> float:
     raise RuntimeError(f"incomplete gamma series did not converge (a={a}, z={z})")
 
 
-def _reg_lower_series(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(a, z) by series; valid z < a + 1."""
-    return math.exp(-z + a * math.log(z) - math.lgamma(a)) * _lower_series_sum(a, z)
-
-
 def _log_gamma_scaled(a: float, z: float) -> float:
     """log(Gamma(a) e^z z^-a) for z > 0.
 
@@ -101,15 +96,15 @@ def log_upper_gamma(a: float, z: float) -> float:
     if z == 0.0:
         return math.lgamma(a)
     if z < a + 1.0:
-        p = _reg_lower_series(a, z)
+        p = math.exp(-z + a * math.log(z) - math.lgamma(a)) * _lower_series_sum(a, z)
         return math.lgamma(a) + math.log1p(-p)
     return -z + a * math.log(z) + _log_cf_scaled(a, z)
 
 
 def log_upper_gamma_scaled(a: float, z: float) -> float:
-    """log(Gamma(a, z) e^z z^-a) for z > 0, accurate to ~1e-15 absolute at
-    large a, where ``log_upper_gamma(a, z) + z - a log z`` cancels terms of
-    size a log a.
+    """log(Gamma(a, z) e^z z^-a) for z > 0.  It stays accurate at large a
+    (within 3e-14 absolute through the k = 2 identity at a = 10^6 + 1), where
+    ``log_upper_gamma(a, z) + z - a log z`` cancels terms of size a log a.
 
     The continued fraction gives this form directly.  In the series regime
     it is D + log1p(-e^-D S), with D = log(Gamma(a) e^z z^-a) from

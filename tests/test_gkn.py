@@ -125,7 +125,8 @@ def test_cut_table_certifies_its_tail(k, n):
     assert prefixes == sorted(prefixes) and prefixes[-1] == kept
     assert all(0.0 <= tail <= 2.0**-60 for _, tail in ev.cuts)
     m = np.arange(n + 1, dtype=float)
-    lams = sorted({0.3, 0.9} | {x for knot in KNOTS for x in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 1.0))})
+    neighbours = {x for knot in KNOTS for x in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 1.0))}
+    lams = sorted({0.3, 0.9} | neighbours)
     grid = log_eval_gkn_grid(ev, np.array(lams))
     for lam, grid_value in zip(lams, grid):
         knot = math.ceil(8 * lam) / 8  # the first knot >= lam
