@@ -16,7 +16,11 @@ the first index whose geometric tail bound at lambda = 1 falls to 2^-60, and
 the same test marks a shorter prefix at each of the eight knots
 lambda_j = j/8: an evaluation at lambda sums only the prefix of the first knot
 lambda_j >= lambda and adds that knot's certified tail back, so log G is
-rounded up, never down.
+rounded up, never down.  The walk runs in blocks of doubling length and stops
+at the first block end past the lambda = 1 cut, so it touches at most about
+twice the kept table, not all n ratios.  A lambda grid is reduced in one work
+buffer per call, with each column summed in sequence where the scalar path
+sums pairwise; the two agree to within the rounding of S, not bit for bit.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -39,6 +43,12 @@ _CHUNK_ENTRIES = 8_000_000
 # Coefficients past the cut sum to at most this; a term that small cannot
 # reach the last bit of log G, whose truncated sum is at least c_0 = 1.
 _TAIL_MASS = 2.0**-60
+_LOG_TAIL_MASS = math.log(_TAIL_MASS)
+
+# Length of the first block of term ratios walked; each next block is twice
+# as long.  The walk stops once the lambda = 1 cut lies behind it, so a table
+# that keeps K terms walks at most 2K + _FIRST_BLOCK ratios, not all n.
+_FIRST_BLOCK = 1024
 
 # An evaluation at lambda sums the prefix cut for the first knot >= lambda.
 # More knots shorten that prefix, but each adds a group of NumPy calls to
@@ -89,25 +99,55 @@ class GknEvaluator:
         return self.cuts[-1][1]
 
 
+def _log_tail(log_c: float, log_r: float, i: int, log_lam: float) -> float:
+    """log of the geometric bound on c_i lam^i + ... + c_n lam^n at
+    lam = exp(``log_lam``), given log c_i and log r_i = log(c_{i+1}/c_i);
+    +inf before the peak."""
+    log_r += log_lam
+    return log_c + i * log_lam - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
+
+
 def _cut(log_coeffs: np.ndarray, log_ratio: np.ndarray, log_lam: float) -> tuple[int, float]:
     """(K, tail) for the shortest prefix ``log_coeffs[:K]`` whose dropped terms
     c_i lam^i, i >= K, sum to at most ``tail <= _TAIL_MASS`` at
-    lam = exp(``log_lam``); (n + 1, 0.0) if none.
+    lam = exp(``log_lam``); (``log_coeffs.size``, 0.0) if none.
 
-    ``log_ratio[i]`` is log(c_{i+1}/c_i); r_n = 0 ends the polynomial.
+    ``log_ratio[i]`` is log(c_{i+1}/c_i).  The arrays are either the whole walk,
+    n + 1 coefficients and n ratios, where r_n = 0 ends the polynomial, or
+    prefixes of equal length whose last index already passes the test.
     """
     n = log_ratio.size
 
     def log_tail(i: int) -> float:
-        """log of the geometric bound on c_i lam^i + ... + c_n lam^n; +inf before the peak."""
-        log_r = float(log_ratio[i]) + log_lam if i < n else -math.inf
-        return float(log_coeffs[i]) + i * log_lam - math.log(-math.expm1(log_r)) if log_r < 0.0 else math.inf
+        return _log_tail(float(log_coeffs[i]), float(log_ratio[i]) if i < n else -math.inf, i, log_lam)
 
     # The test is false up to the peak of c_i lam^i; past it both c_i lam^i and
     # 1/(1 - r_i lam) fall, so it turns true once and stays true, and
     # bisection finds it.
-    kept = 1 + bisect.bisect_left(range(1, n + 1), True, key=lambda i: log_tail(i) <= math.log(_TAIL_MASS))
-    return (kept, math.exp(log_tail(kept))) if kept <= n else (kept, 0.0)
+    kept = 1 + bisect.bisect_left(range(1, log_coeffs.size), True, key=lambda i: log_tail(i) <= _LOG_TAIL_MASS)
+    return (kept, math.exp(log_tail(kept))) if kept < log_coeffs.size else (kept, 0.0)
+
+
+def _walk(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log-coefficients and log-ratios of the shape, walked in blocks of
+    doubling size until the lambda = 1 test of :func:`_cut` holds at the last
+    index of a block; then both arrays end at that index.  Shapes that need
+    every term walk to the end: n + 1 coefficients and n ratios."""
+    coeffs, ratios = [np.zeros(1)], []
+    hi, size = 0, _FIRST_BLOCK
+    while hi < n:
+        lo, hi, size = hi, min(n, hi + size), 2 * size
+        j = np.arange(lo, hi, dtype=float)
+        log_ratio = np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
+        # seeded with c_lo, cumsum continues the one sequential sum over all
+        # blocks, so each coefficient carries the bits of an unblocked walk
+        block = np.concatenate((coeffs[-1][-1:], log_ratio))
+        np.cumsum(block, out=block)
+        coeffs.append(block[1:])
+        ratios.append(log_ratio)
+        if hi < n and _log_tail(float(block[-2]), float(log_ratio[-1]), hi - 1, 0.0) <= _LOG_TAIL_MASS:
+            return np.concatenate(coeffs)[:hi], np.concatenate(ratios)
+    return np.concatenate(coeffs), np.concatenate(ratios)
 
 
 def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
@@ -125,21 +165,23 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
     terms at (2, 10^6), 1,710 of 2,030 at (436, 2029).  The same test at each
     knot lambda_j = j/8 gives the shorter prefixes in ``cuts``: at
     lambda = 1/2, 61 terms at (2, 10^6) and 246 of 8,080 at (50, 10^5).
+
+    The ratios are walked in blocks of 1,024, 2,048, 4,096, ... terms, each
+    block's cumulative sum seeded with the last coefficient of the one before,
+    so every coefficient is the same sequential sum as in one unblocked walk.
+    The walk stops at the first block end where the lambda = 1 test already
+    holds; the test is false up to the peak and true after it, so the cuts
+    bisected inside that prefix are those of the whole table.  (2, 10^6)
+    walks 15,360 ratios, not 10^6; shapes that keep every term walk to n.
     """
     k, n = shape.k, shape.n
     if k == 1 or n == 0:
         log_coeffs = np.zeros(1)
         cuts = [(1, 0.0)] * len(_KNOTS)
     else:
-        j = np.arange(n, dtype=float)
-        log_ratio = np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
-        log_coeffs = np.empty(n + 1)
-        log_coeffs[0] = 0.0
-        np.cumsum(log_ratio, out=log_coeffs[1:])
+        log_coeffs, log_ratio = _walk(k, n)
         cuts = [_cut(log_coeffs, log_ratio, math.log(knot)) for knot in _KNOTS]
-        kept = cuts[-1][0]
-        if kept <= n:
-            log_coeffs = log_coeffs[:kept].copy()
+        log_coeffs = log_coeffs[: cuts[-1][0]].copy()
     log_coeffs.flags.writeable = False
     return GknEvaluator(shape=shape, log_coeffs=log_coeffs, cuts=tuple(cuts))
 
@@ -149,12 +191,15 @@ def _check_unit_interval(lam: float) -> None:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
 
 
-def logsumexp(terms: np.ndarray):
+def logsumexp(terms: np.ndarray, out: np.ndarray | None = None):
     """log(sum(exp(terms))) over the first axis, shifted by the maximum so
     that no term overflows.  Entries of -inf contribute nothing; each column
-    reduced needs at least one finite entry."""
+    reduced needs at least one finite entry.  The shifted exponentials are
+    written to ``out`` if given (``terms`` itself may be passed), else to a
+    new array."""
     peak = terms.max(axis=0)
-    return peak + np.log(np.exp(terms - peak).sum(axis=0))
+    shifted = np.subtract(terms, peak, out=out)
+    return peak + np.log(np.exp(shifted, out=shifted).sum(axis=0))
 
 
 def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -183,7 +228,15 @@ def eval_gkn(ev: GknEvaluator, lam: float) -> float:
 def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     """Vectorized ``log_eval_gkn`` over a 1-d grid of lambda values.  The
     columns are grouped by knot; each group sums its own prefix and adds its
-    own tail, so no value is below the exact log G."""
+    own tail, so no value is below the exact log G beyond the rounding of S.
+
+    Each group is reduced in column chunks of at most ``_CHUNK_ENTRIES``
+    terms, all in one work buffer per call sized to the largest chunk.  The
+    reduction runs down axis 0, which sums each column in sequence (a lone
+    column pairwise), with a rounding error of up to ~kept_j units in the
+    last place of S.  The 1-d sum of :func:`log_eval_gkn` is pairwise, so the
+    two paths can differ in the last bits.
+    """
     arr = np.asarray(lams, dtype=float)
     if arr.ndim != 1:
         raise ValueError("lambda grid must be one-dimensional")
@@ -194,17 +247,22 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
         return out
     nz = np.flatnonzero(arr > 0.0)
     knot_of = np.searchsorted(_KNOTS, arr[nz])
+    # np.unique would import numpy.ma on the first call
+    sizes = np.bincount(knot_of, minlength=len(_KNOTS))
+    cols_per_chunk = [max(1, _CHUNK_ENTRIES // kept) for kept, _ in ev.cuts]
+    work = np.empty(max(kept * min(size, cols) for (kept, _), size, cols in zip(ev.cuts, sizes, cols_per_chunk)))
     m = np.arange(ev.log_coeffs.size, dtype=float)[:, None]
-    for j in np.unique(knot_of):
+    for j in np.flatnonzero(sizes):
         group = nz[knot_of == j]
         kept, tail = ev.cuts[j]
         lc = ev.log_coeffs[:kept, None]
-        cols_per_chunk = max(1, _CHUNK_ENTRIES // kept)
-        for start in range(0, group.size, cols_per_chunk):
-            idx = group[start : start + cols_per_chunk]
+        for start in range(0, group.size, cols_per_chunk[j]):
+            idx = group[start : start + cols_per_chunk[j]]
             lams_chunk = arr[idx]
-            log_s = logsumexp(lc + m[:kept] * np.log(lams_chunk)[None, :])
-            out[idx] = log_s + tail * (lams_chunk / _KNOTS[j]) ** kept
+            terms = work[: kept * idx.size].reshape(kept, idx.size)
+            np.multiply(m[:kept], np.log(lams_chunk)[None, :], out=terms)
+            np.add(lc, terms, out=terms)
+            out[idx] = logsumexp(terms, out=terms) + tail * (lams_chunk / _KNOTS[j]) ** kept
     return out
 
 

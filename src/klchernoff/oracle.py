@@ -7,14 +7,14 @@ polynomial's coefficients as exact rationals for bit-exact checks.  These
 routines are deliberately independent of the coefficient-based evaluation in
 :mod:`klchernoff.gkn` so the two can cross-check each other; they share only
 the log-sum-exp reduction, which is tested on its own against SciPy's.
-SciPy's special functions are imported inside the routines that use them,
-so importing this module (and the package) does not load SciPy.
+SciPy's special functions, and the thread pool of a multi-worker Monte Carlo
+run, are imported inside the routines that use them, so importing this module
+(and the package) loads neither SciPy nor ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -273,6 +273,8 @@ def mc_tail(
     if workers == 1:
         hits = sum(run(job) for job in jobs)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(run, jobs))
     estimate = hits / samples

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from klchernoff import gkn
 from klchernoff.gkn import (
     ExperimentShape,
     build_evaluator,
@@ -103,13 +105,40 @@ def _reference_log_g(k, n, lam):
         return total.ln()
 
 
+def _full_log_ratio(k, n):
+    """All n log term ratios log(c_{j+1}/c_j)."""
+    j = np.arange(n, dtype=float)
+    return np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
+
+
 def _full_log_coeffs(k, n):
     """All n + 1 log-coefficients by the ratio walk, without the cut."""
-    j = np.arange(n, dtype=float)
-    return np.concatenate(([0.0], np.cumsum(np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0)))))
+    return np.concatenate(([0.0], np.cumsum(_full_log_ratio(k, n))))
 
 
 KNOTS = [j / 8 for j in range(1, 9)]
+
+
+# The lambda = 1 cut of (2, 12162), (2, 12185) and (2, 12209) keeps 1,022,
+# 1,023 and 1,024 terms, just before, on and just past the end of the first
+# block of the walk; (2, 105360), (2, 105426) and (2, 105495) do the same at
+# the end of the second block.
+BLOCK_EDGES = {(2, 12162): 1022, (2, 12185): 1023, (2, 12209): 1024,
+               (2, 105360): 3070, (2, 105426): 3071, (2, 105495): 3072}
+
+
+@pytest.mark.parametrize(
+    "k,n", [(436, 10**6), (2, 10**6), (50, 10**5), (2, 1), (2, 2), (31, 93), (6, 100)] + sorted(BLOCK_EDGES)
+)
+def test_block_walk_matches_full_walk(k, n):
+    # the table and cuts equal those of the whole ratio array, bit for bit
+    ev = build_evaluator(ExperimentShape(k, n))
+    full, ratio = _full_log_coeffs(k, n), _full_log_ratio(k, n)
+    cuts = tuple(gkn._cut(full, ratio, math.log(knot)) for knot in KNOTS)
+    assert ev.cuts == cuts
+    assert ev.log_coeffs.tobytes() == full[: cuts[-1][0]].tobytes()
+    if (k, n) in BLOCK_EDGES:
+        assert cuts[-1][0] == BLOCK_EDGES[k, n]
 
 
 @pytest.mark.parametrize("k,n", [(2, 10**6), (50, 10**5), (436, 2029), (2, 1000), (6, 100), (31, 93)])
@@ -182,6 +211,66 @@ def test_grid_matches_scalar_eval():
         for bad in ([0.5, 1.5], [-0.5, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError):
                 log_eval_gkn_grid(ev, np.array(bad))
+
+
+def _grid_with_temporaries(ev, lams):
+    """Reference grid evaluation: a fresh temporary per step and knot group,
+    found by np.unique.  The work-buffer path must match it bit for bit."""
+    out = np.zeros(lams.size)
+    if ev.log_coeffs.size == 1:
+        return out
+    nz = np.flatnonzero(lams > 0.0)
+    knot_of = np.searchsorted(KNOTS, lams[nz])
+    m = np.arange(ev.log_coeffs.size, dtype=float)[:, None]
+    for j in np.unique(knot_of):
+        group = nz[knot_of == j]
+        kept, tail = ev.cuts[j]
+        lc = ev.log_coeffs[:kept, None]
+        cols_per_chunk = max(1, 8_000_000 // kept)
+        for start in range(0, group.size, cols_per_chunk):
+            idx = group[start : start + cols_per_chunk]
+            terms = lc + m[:kept] * np.log(lams[idx])[None, :]
+            peak = terms.max(axis=0)
+            log_s = peak + np.log(np.exp(terms - peak).sum(axis=0))
+            out[idx] = log_s + tail * (lams[idx] / KNOTS[j]) ** kept
+    return out
+
+
+@pytest.mark.parametrize("k,n", [(6, 100), (436, 2029), (50, 10**5), (2, 10**6)])
+def test_grid_matches_per_group_temporaries_bit_for_bit(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    grids = [
+        np.linspace(0.0, 1.0, 512),
+        np.random.default_rng(k + n).uniform(0.0, 1.0, 300),  # unsorted
+        np.array([1.0, 0.0, 0.6, 0.0, 1.0, 0.125]),
+        np.array([0.37]),
+    ]
+    for lams in grids:
+        assert log_eval_gkn_grid(ev, lams).tobytes() == _grid_with_temporaries(ev, lams).tobytes()
+
+
+def _traced_peak_mib(fn):
+    """Peak of memory allocated by ``fn()``, above what was held before, in MiB."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_build_and_grid_allocate_no_table_sized_temporaries():
+    # a walk of all 10^6 ratios takes ~30 MiB; the kept table is 75 KiB
+    assert _traced_peak_mib(lambda: build_evaluator(ExperimentShape(2, 10**6))) < 2.0
+    # one temporary per step and knot group takes ~2.5 MiB at (436, 2029)
+    ev = build_evaluator(ExperimentShape(436, 2029))
+    lams = np.linspace(0.0, 1.0, 512)
+    log_eval_gkn_grid(ev, lams)
+    assert _traced_peak_mib(lambda: log_eval_gkn_grid(ev, lams)) < 1.5
 
 
 def test_derivative_examples():
@@ -312,3 +401,5 @@ def test_logsumexp_matches_scipy(terms):
     ref = scipy.special.logsumexp(terms, axis=0)
     assert np.shape(ours) == np.shape(ref)
     np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=1e-14)
+    work = terms.copy()
+    np.testing.assert_array_equal(logsumexp(work, out=work), ours)

@@ -1,5 +1,6 @@
-"""The package and the bound, sweep, critical and ci commands load no SciPy;
-the oracle commands load it on first use and still run."""
+"""The package and the bound, sweep, critical and ci commands load no SciPy,
+numpy.ma or concurrent.futures; the oracle commands load SciPy on first use
+and still run."""
 
 import json
 import os
@@ -11,14 +12,16 @@ import klchernoff
 
 _SRC = str(Path(klchernoff.__file__).resolve().parents[1])
 
-# Prints, one JSON line each: the scipy modules loaded after the imports,
-# after every command of ``commands``, and the mc-tail record that follows.
+# Prints, one JSON line each: the scipy, numpy.ma and concurrent modules loaded
+# after the imports, after every command of ``commands``, and the mc-tail
+# record that follows.  numpy.ma costs ~1.5 MiB resident, and np.unique
+# imports it; concurrent.futures brings logging and queue along.
 _PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 
 def loaded():
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent") or m.split(".")[:2] == ["numpy", "ma"])))
 
 import klchernoff, klchernoff.cli
 loaded()
