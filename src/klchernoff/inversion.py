@@ -9,12 +9,12 @@ level through :func:`klchernoff.bounds.critical_value`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .bounds import CriticalValueQuery, critical_value
 from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
+from .special import rel_entr
 
 KL_ROOT_TOL = 1e-12
 
@@ -33,30 +33,12 @@ class CoordinateCI:
     alpha: float | None = None
 
 
-def _rel_entr(x: float, y: float) -> float:
-    """x log(x/y) for x, y in [0, 1], with 0 log(0/y) = 0 and x log(x/0) = +inf.
-
-    Same branches as SciPy's ``rel_entr``: log1p when x and y are within a
-    factor of 2, and two separate logs when x/y leaves the normal range.
-    """
-    if x == 0.0:
-        return 0.0
-    if y == 0.0:
-        return math.inf
-    ratio = x / y
-    if 0.5 < ratio < 2.0:
-        return x * math.log1p((x - y) / y)
-    if sys.float_info.min < ratio < math.inf:
-        return x * math.log(ratio)
-    return x * (math.log(x) - math.log(y))
-
-
 def binary_kl(a: float, v: float) -> float:
     """Relative entropy of Bernoulli(a) from Bernoulli(v), in nats."""
     if not 0.0 <= a <= 1.0 or not 0.0 <= v <= 1.0:
         raise ValueError("arguments must lie in [0, 1]")
     a, v = float(a), float(v)
-    return _rel_entr(a, v) + _rel_entr(1.0 - a, 1.0 - v)
+    return rel_entr(a, v) + rel_entr(1.0 - a, 1.0 - v)
 
 
 def coord_upper_bound(

@@ -7,9 +7,9 @@ polynomial's coefficients as exact rationals for bit-exact checks.  These
 routines are deliberately independent of the coefficient-based evaluation in
 :mod:`klchernoff.gkn` so the two can cross-check each other; they share only
 the log-sum-exp reduction, which is tested on its own against SciPy's.
-SciPy's special functions, and the thread pool of a multi-worker Monte Carlo
-run, are imported inside the routines that use them, so importing this module
-(and the package) loads neither SciPy nor ``concurrent.futures``.
+They need only NumPy and ``math``, so no command loads SciPy.  The thread
+pool of a multi-worker Monte Carlo run is imported inside :func:`mc_tail`, so
+importing this module (and the package) does not load ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import ProbVector
 from .gkn import ExperimentShape, logsumexp
+from .special import rel_entr
 
 ENUMERATION_GUARD = 10**7
 _BLOCK = 65536
@@ -43,9 +44,7 @@ def kl_divergence(phat: ProbVector, p: ProbVector) -> float:
     """
     if len(phat) != len(p):
         raise ValueError(f"length mismatch: {len(phat)} vs {len(p)}")
-    from scipy.special import rel_entr
-
-    return float(rel_entr(phat.as_array(), p.as_array()).sum())
+    return float(np.array([rel_entr(a, b) for a, b in zip(phat.probs, p.probs)]).sum())
 
 
 def n_outcomes(shape: ExperimentShape) -> int:
@@ -89,31 +88,44 @@ def _count_blocks(shape: ExperimentShape) -> Iterator[np.ndarray]:
         yield block[:filled].copy()
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y elementwise for counts x >= 0, and 0 wherever x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
+def _coeff_blocks(shape: ExperimentShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of count vectors, each with its rows' log multinomial coefficients.
+
+    The log factorials 0!, ..., n! are one ``math.lgamma`` table per call,
+    indexed by the counts.
+    """
+    n = shape.n
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    for block in _count_blocks(shape):
+        yield block, log_fact[n] - log_fact[block].sum(axis=1)
+
+
 def enumerate_outcomes(shape: ExperimentShape) -> Iterator[Outcome]:
     """Every count vector exactly once, in lexicographic order."""
     _check_guard(shape)
-    from scipy.special import gammaln
-
-    lg_n = gammaln(shape.n + 1.0)
-    for block in _count_blocks(shape):
-        coeffs = lg_n - gammaln(block + 1.0).sum(axis=1)
+    for block, coeffs in _coeff_blocks(shape):
         for row, lc in zip(block, coeffs):
             yield Outcome(counts=tuple(int(v) for v in row), log_multinomial_coeff=float(lc))
 
 
-def _block_stats(block: np.ndarray, n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: log multinomial coeff, sum X log(X/n), sum X log p (or -inf)."""
-    from scipy.special import gammaln, xlogy
-
-    log_coeff = gammaln(n + 1.0) - gammaln(block + 1.0).sum(axis=1)
-    a = xlogy(block, block).sum(axis=1) - n * math.log(n)
+def _stat_blocks(shape: ExperimentShape, p: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block, per row: log multinomial coeff, sum X log(X/n), sum X log p (or -inf)."""
+    n = shape.n
     support = p > 0.0
     log_p = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
-    b = block @ log_p
-    if not support.all():
-        off = block[:, ~support].sum(axis=1) > 0
-        b = np.where(off, -np.inf, b)
-    return log_coeff, a, b
+    for block, log_coeff in _coeff_blocks(shape):
+        a = _xlogy(block, block).sum(axis=1) - n * math.log(n)
+        b = block @ log_p
+        if not support.all():
+            off = block[:, ~support].sum(axis=1) > 0
+            b = np.where(off, -np.inf, b)
+        yield log_coeff, a, b
 
 
 def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
@@ -125,10 +137,8 @@ def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
     _check_guard(shape)
     if shape.n == 0:
         return 1.0
-    parr = p.as_array()
     block_sums = []
-    for block in _count_blocks(shape):
-        log_coeff, a, b = _block_stats(block, shape.n, parr)
+    for log_coeff, a, b in _stat_blocks(shape, p.as_array()):
         valid = b > -np.inf
         terms = log_coeff[valid] + lam * a[valid] + (1.0 - lam) * b[valid]
         if terms.size:
@@ -166,15 +176,12 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
     _check_guard(shape)
     if shape.n == 0:
         return 1.0
-    from scipy.special import gammaln, xlogy
-
     parr = p.as_array()
     n = shape.n
     block_sums = []
-    for block in _count_blocks(shape):
-        log_coeff = gammaln(n + 1.0) - gammaln(block + 1.0).sum(axis=1)
+    for block, log_coeff in _coeff_blocks(shape):
         w = lam * block / n + (1.0 - lam) * parr[None, :]
-        terms = log_coeff + xlogy(block, w).sum(axis=1)
+        terms = log_coeff + _xlogy(block, w).sum(axis=1)
         terms = terms[terms > -np.inf]
         if terms.size:
             block_sums.append(logsumexp(terms))
@@ -194,10 +201,8 @@ def tail_exact(shape: ExperimentShape, p: ProbVector, t: float) -> float:
     _check_guard(shape)
     if shape.n == 0:
         return 0.0 if t >= 0.0 else 1.0
-    parr = p.as_array()
     acc = 0.0
-    for block in _count_blocks(shape):
-        log_coeff, a, b = _block_stats(block, shape.n, parr)
+    for log_coeff, a, b in _stat_blocks(shape, p.as_array()):
         valid = b > -np.inf
         stat = a[valid] - b[valid]
         log_prob = log_coeff[valid] + b[valid]
@@ -216,8 +221,6 @@ class MCTailResult:
 
 
 def _sample_chunk(shape: ExperimentShape, p: np.ndarray, t: float, size: int, seed: int, chunk_index: int) -> int:
-    from scipy.special import xlogy
-
     rng = np.random.default_rng([seed, chunk_index])
     k, n = shape.k, shape.n
     counts = np.zeros((size, k), dtype=np.int64)
@@ -231,7 +234,7 @@ def _sample_chunk(shape: ExperimentShape, p: np.ndarray, t: float, size: int, se
         rest_mass -= p[i]
     counts[:, k - 1] = remaining
     p_safe = np.where(p > 0.0, p, 1.0)
-    stat = xlogy(counts, counts / (n * p_safe[None, :])).sum(axis=1)
+    stat = _xlogy(counts, counts / (n * p_safe[None, :])).sum(axis=1)
     return int((stat > t).sum())
 
 
@@ -270,7 +273,10 @@ def mc_tail(
         return _sample_chunk(shape, parr, t, size, seed, idx)
 
     jobs = list(enumerate(sizes))
-    if workers == 1:
+    if shape.n == 0:
+        # the one outcome has statistic 0, which exceeds t exactly when t < 0
+        hits = samples if t < 0.0 else 0
+    elif workers == 1:
         hits = sum(run(job) for job in jobs)
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -1,4 +1,4 @@
-"""Log-domain upper incomplete gamma function.
+"""Log-domain upper incomplete gamma function, and the relative-entropy kernel.
 
 The closed form for the k=2 polynomial and the asymptotic reference tail
 both need Gamma(a, z) at argument sizes where the regularized value
@@ -8,11 +8,15 @@ a lower-incomplete series for z < a + 1 and a continued fraction (modified
 Lentz) otherwise, each iterated to 1e-14 relative convergence.  The scaled
 form log(Gamma(a, z) e^z z^-a) is computed without forming log Gamma(a, z),
 whose terms of size ~a log a cancel at large a.
+
+:func:`rel_entr` is the elementwise term x log(x/y) that both the binary
+relative entropy of the confidence bounds and the oracle's D(phat || p) sum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 GAMMA_TOL = 1e-14
 _MAX_ITER = 1_000_000
@@ -118,3 +122,20 @@ def log_upper_gamma_scaled(a: float, z: float) -> float:
     d = _log_gamma_scaled(a, z)
     return d + math.log1p(-math.exp(-d) * _lower_series_sum(a, z))
 
+
+def rel_entr(x: float, y: float) -> float:
+    """x log(x/y) for x, y in [0, 1], with 0 log(0/y) = 0 and x log(x/0) = +inf.
+
+    Same branches as SciPy's ``rel_entr``: log1p when x and y are within a
+    factor of 2, and two separate logs when x/y leaves the normal range.
+    """
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return math.inf
+    ratio = x / y
+    if 0.5 < ratio < 2.0:
+        return x * math.log1p((x - y) / y)
+    if sys.float_info.min < ratio < math.inf:
+        return x * math.log(ratio)
+    return x * (math.log(x) - math.log(y))

@@ -8,6 +8,7 @@ be demonstrated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -58,6 +59,8 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
     rng = np.random.default_rng(seed)
     shapes = [ExperimentShape(k, n) for k in range(2, max_k + 1) for n in range(1, max_n + 1)]
 
+    # the recurrence property reads three polynomials at every lambda
+    @functools.cache
     def evaluator(shape: ExperimentShape) -> GknEvaluator:
         ev = build_evaluator(shape)
         if inject_fault and (shape.k, shape.n) == (2, 1):

@@ -4,8 +4,10 @@ import math
 import jsonschema
 import pytest
 
+from klchernoff import verify
 from klchernoff.cli import main
 from klchernoff.data import butterfly_fixture_path
+from klchernoff.gkn import build_evaluator
 from klchernoff.verify import run_suite
 
 NUMBER_OR_NULL = {"type": ["number", "null"]}
@@ -182,6 +184,19 @@ def test_verify_fault_injection_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-k", "3", "--max-n", "3", "--inject-fault")
     assert code == 2
     assert "VERIFY: FAIL" in out
+
+
+def test_verify_builds_each_polynomial_once(monkeypatch):
+    # the recurrence property reads three polynomials at each of five lambdas
+    built = []
+
+    def counting_build(shape):
+        built.append(shape)
+        return build_evaluator(shape)
+
+    monkeypatch.setattr(verify, "build_evaluator", counting_build)
+    assert all(r.ok for r in run_suite(max_k=3, max_n=3))
+    assert len(built) == len(set(built)) == 11
 
 
 def test_verify_minimal_grid(capsys):

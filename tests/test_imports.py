@@ -1,6 +1,5 @@
-"""The package and the bound, sweep, critical and ci commands load no SciPy,
-numpy.ma or concurrent.futures; the oracle commands load SciPy on first use
-and still run."""
+"""The package and every command, the oracle's verify and mc-tail included,
+load no SciPy, numpy.ma or concurrent.futures."""
 
 import json
 import os
@@ -13,9 +12,10 @@ import klchernoff
 _SRC = str(Path(klchernoff.__file__).resolve().parents[1])
 
 # Prints, one JSON line each: the scipy, numpy.ma and concurrent modules loaded
-# after the imports, after every command of ``commands``, and the mc-tail
-# record that follows.  numpy.ma costs ~1.5 MiB resident, and np.unique
-# imports it; concurrent.futures brings logging and queue along.
+# after the imports, after every command of ``commands`` and after the mc-tail
+# command that follows, then that command's record.  scipy.special costs ~17
+# MiB resident; numpy.ma ~1.5 MiB, and np.unique imports it;
+# concurrent.futures brings logging and queue along.
 _PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -32,6 +32,7 @@ loaded()
 buf = io.StringIO()
 with redirect_stdout(buf):
     assert klchernoff.cli.main({mc_tail!r}) == 0
+loaded()
 print(json.dumps(json.loads(buf.getvalue())))
 """
 
@@ -48,20 +49,21 @@ def _probe(commands):
 
 
 def test_import_and_bound_command_load_no_scipy():
-    after_import, after_bound, _ = _probe([["bound", "--k", "6", "--n", "100", "--t", "12"]])
+    after_import, after_bound, _, _ = _probe([["bound", "--k", "6", "--n", "100", "--t", "12"]])
     assert after_import == []
     assert after_bound == []
 
 
-def test_inversion_commands_load_no_scipy_and_mc_tail_loads_it():
+def test_inversion_and_oracle_commands_load_no_scipy():
     commands = [
         ["sweep", "--k", "6", "--n", "100", "--t-min", "1", "--t-max", "30", "--points", "5"],
         ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "exact"],
         ["ci-unseen", "--counts", "1,1,2,3,5,8", "--alpha", "0.05"],
         ["ci-coord", "--counts", "4,6", "--coord", "2", "--alpha", "0.1"],
+        ["verify", "--max-k", "3", "--max-n", "4"],
     ]
-    after_import, after_commands, mc = _probe(commands)
-    assert after_import == after_commands == []
+    after_import, after_commands, after_mc_tail, mc = _probe(commands)
+    assert after_import == after_commands == after_mc_tail == []
     # same record as the in-process golden fixture tests/golden/mc_tail.json
     golden = json.loads((Path(__file__).parent / "golden" / "mc_tail.json").read_text())
     assert mc == golden

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from klchernoff.bounds import TailQuery, chernoff_exact, meaningful_threshold
 from klchernoff.gkn import ExperimentShape, build_evaluator, eval_gkn
 from klchernoff.oracle import (
     ProbVector,
+    _coeff_blocks,
+    _xlogy,
     enumerate_outcomes,
     gkn_from_definition,
     kl_divergence,
@@ -40,6 +43,43 @@ def test_kl_examples():
     assert kl_divergence(ProbVector((0.0, 1.0)), ProbVector((1.0, 0.0))) == math.inf
     with pytest.raises(ValueError):
         kl_divergence(UNIFORM2, ProbVector((0.2, 0.3, 0.5)))
+
+
+def test_kl_matches_scipy_rel_entr_sum():
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 7):
+        vecs = [random_prob_vector(k, rng) for _ in range(4)]
+        vecs += [random_prob_vector(k, rng, zero_coord=0), random_prob_vector(k, rng, zero_coord=k - 1)]
+        for phat in vecs:
+            for p in vecs:
+                ref = float(scipy.special.rel_entr(phat.as_array(), p.as_array()).sum())
+                assert kl_divergence(phat, p) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5000), (3, 300), (4, 30), (6, 12)])
+def test_log_multinomial_coefficients_match_gammaln(k, n):
+    # the lgamma table is within 3 ulp of log m!, gammaln within 2; each side
+    # sums k + 1 such entries, none larger than log n!
+    lg_n = float(scipy.special.gammaln(n + 1.0))
+    tol = 6 * (k + 1) * np.spacing(lg_n)
+    rows = 0
+    for block, log_coeff in _coeff_blocks(ExperimentShape(k, n)):
+        ref = lg_n - scipy.special.gammaln(block + 1.0).sum(axis=1)
+        np.testing.assert_allclose(log_coeff, ref, rtol=0.0, atol=tol)
+        rows += len(block)
+    assert rows == n_outcomes(ExperimentShape(k, n))
+
+
+def test_xlogy_matches_scipy_on_counts_with_zeros():
+    rng = np.random.default_rng(11)
+    n = 40
+    counts = rng.multinomial(n, [0.5, 0.3, 0.2, 0.0, 0.0], size=500)
+    counts[::7, 0] = 0
+    p_safe = np.array([0.5, 0.3, 0.2, 1.0, 1.0])
+    for y in (counts, counts / (n * p_safe), 0.4 * counts / n + 0.6 * np.array([0.5, 0.3, 0.2, 0.0, 0.0])):
+        got = _xlogy(counts, y)
+        assert (got[counts == 0] == 0.0).all()
+        np.testing.assert_allclose(got, scipy.special.xlogy(counts, y), rtol=1e-15, atol=0.0)
 
 
 def test_enumeration_order_and_coefficients():
@@ -156,6 +196,19 @@ def test_mc_deterministic_and_parallel_invariant():
 def test_mc_degenerate_statistic():
     r = mc_tail(ExperimentShape(2, 1), UNIFORM2, 0.1, samples=10**4, seed=0)
     assert r.estimate == 1.0 and r.std_error == 0.0
+    # with no draws the statistic is 0, as in tail_exact, and no 0/0 arises
+    p3 = ProbVector((0.2, 0.3, 0.5))
+    for t, hits in ((-1.0, 1000), (0.0, 0), (2.0, 0)):
+        r = mc_tail(ExperimentShape(3, 0), p3, t, samples=1000, seed=0)
+        assert r.hits == hits and r.std_error == 0.0
+        assert r.estimate == tail_exact(ExperimentShape(3, 0), p3, t)
+
+
+@pytest.mark.parametrize("seed, hits", [(0, 744), (1, 768), (2, 801)])
+def test_mc_hits_pinned(seed, hits):
+    # the benchmark's mc-tail operation and two more seeds, as SciPy's xlogy counted them
+    r = mc_tail(ExperimentShape(6, 100), ProbVector((1 / 6,) * 6), 8.0, samples=10**5, seed=seed)
+    assert r.hits == hits
 
 
 def test_mc_matches_enumeration():
