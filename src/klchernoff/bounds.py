@@ -366,8 +366,9 @@ def critical_value(q: CriticalValueQuery) -> float:
     :func:`_lambda_min`.
     lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
     corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
-    and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between.
-    The returned t* satisfies |bound(t*) - alpha| <= 1e-9 * alpha.
+    and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between,
+    accepting only a midpoint on the conservative side: the returned t*
+    satisfies alpha - 1e-9 * alpha <= bound(t*) <= alpha.
     """
     k, n = q.shape.k, q.shape.n
     if k < 2 or n < 1:
@@ -385,7 +386,7 @@ def critical_value(q: CriticalValueQuery) -> float:
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         value = evaluate_bound(q.method, TailQuery(q.shape, mid)).value
-        if abs(value - q.alpha) <= tol:
+        if q.alpha - tol <= value <= q.alpha:
             return mid
         if value > q.alpha:
             lo = mid

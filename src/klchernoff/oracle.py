@@ -3,21 +3,24 @@
 Enumerates every multinomial outcome at desk scale to evaluate the MGF, the
 p-dependent polynomial definition, and exact tail probabilities; estimates
 tails by seeded Monte Carlo where enumeration is out of reach; gives the
-polynomial's coefficients as exact rationals for bit-exact checks.  These
-routines are deliberately independent of the coefficient-based evaluation in
-:mod:`klchernoff.gkn` so the two can cross-check each other; they share only
-the log-sum-exp reduction, which is tested on its own against SciPy's.
-They need only NumPy and ``math``, so no command loads SciPy.  The thread
-pool of a multi-worker Monte Carlo run is imported inside :func:`mc_tail`, so
-importing this module (and the package) does not load ``concurrent.futures``.
+polynomial's coefficients as exact rationals for bit-exact checks.  One
+generator, :func:`_coeff_blocks`, enumerates by stars and bars; the rows p
+cannot produce are masked once, and one reducer, :func:`_exp_sum`, sums the
+MGF and the polynomial's definition alike.  All of it is independent of the
+coefficient-based evaluation in :mod:`klchernoff.gkn`, so the two cross-check
+each other; they share only the log-sum-exp reduction, tested on its own
+against SciPy's.  It needs only NumPy and ``math``, so no command loads SciPy.
+:func:`mc_tail` imports its thread pool only for several workers, so importing
+this module (and the package) does not load ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,34 +63,6 @@ def _check_guard(shape: ExperimentShape) -> None:
         )
 
 
-def _count_blocks(shape: ExperimentShape) -> Iterator[np.ndarray]:
-    """Yield lexicographically ordered count vectors in blocks of rows."""
-    k, n = shape.k, shape.n
-    block = np.empty((_BLOCK, k), dtype=np.int64)
-    x = [0] * k
-    x[-1] = n
-    filled = 0
-    while True:
-        block[filled] = x
-        filled += 1
-        if filled == _BLOCK:
-            yield block.copy()
-            filled = 0
-        # lexicographic successor: move one unit left from the last positive
-        # entry, dumping whatever remains of it onto the final coordinate
-        last = k - 1
-        while last >= 1 and x[last] == 0:
-            last -= 1
-        if last < 1:
-            break
-        rest = x[last] - 1
-        x[last] = 0
-        x[last - 1] += 1
-        x[k - 1] = rest
-    if filled:
-        yield block[:filled].copy()
-
-
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x log y elementwise for counts x >= 0, and 0 wherever x = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,14 +70,19 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _coeff_blocks(shape: ExperimentShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of count vectors, each with its rows' log multinomial coefficients.
+    """Blocks of ``_BLOCK`` count vectors (the last one shorter), each with its
+    rows' log multinomial coefficients from one ``math.lgamma`` table.
 
-    The log factorials 0!, ..., n! are one ``math.lgamma`` table per call,
-    indexed by the counts.
+    Stars and bars: k - 1 bars among n + k - 1 slots give the counts as the
+    gaps between the edges ``[-1, bars..., n + k - 1]``, minus one.  Bars in
+    lexicographic order give counts in lexicographic order; k = 1 has one
+    empty bar tuple, so its one row is ``(n,)``.
     """
-    n = shape.n
+    k, n = shape.k, shape.n
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
-    for block in _count_blocks(shape):
+    bars = itertools.combinations(range(n + k - 1), k - 1)
+    for chunk in iter(lambda: list(itertools.islice(bars, _BLOCK)), []):
+        block = np.diff(np.array(chunk, dtype=np.int64), axis=1, prepend=-1, append=n + k - 1) - 1
         yield block, log_fact[n] - log_fact[block].sum(axis=1)
 
 
@@ -115,21 +95,26 @@ def enumerate_outcomes(shape: ExperimentShape) -> Iterator[Outcome]:
 
 
 def _stat_blocks(shape: ExperimentShape, p: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block, per row: log multinomial coeff, sum X log(X/n), sum X log p (or -inf)."""
+    """Per block, for the rows p can produce: log multinomial coeff,
+    sum X log(X/n) and sum X log p, all finite (so 0 * sum X log p is 0).
+    """
     n = shape.n
     support = p > 0.0
-    log_p = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
+    log_p = np.log(np.where(support, p, 1.0))
     for block, log_coeff in _coeff_blocks(shape):
-        a = _xlogy(block, block).sum(axis=1) - n * math.log(n)
-        b = block @ log_p
         if not support.all():
-            off = block[:, ~support].sum(axis=1) > 0
-            b = np.where(off, -np.inf, b)
-        yield log_coeff, a, b
+            keep = ~block[:, ~support].any(axis=1)
+            block, log_coeff = block[keep], log_coeff[keep]
+        yield log_coeff, _xlogy(block, block).sum(axis=1) - n * math.log(n), block @ log_p
 
 
-def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
-    """E exp(lam * n * D(phat || p)) by exact enumeration, log-domain per term."""
+def _exp_sum(shape: ExperimentShape, p: ProbVector, lam: float, term_blocks: Iterable[np.ndarray]) -> float:
+    """exp of the log-sum-exp over the blocks of each block's finite terms.
+
+    The one reducer of :func:`mgf_exact` and :func:`gkn_from_definition`,
+    which differ only in their lazy ``term_blocks``; it checks the arguments
+    and the guard before it draws the first block.
+    """
     if len(p) != shape.k:
         raise ValueError("probability vector length must equal k")
     if not 0.0 <= lam <= 1.0:
@@ -138,12 +123,17 @@ def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
     if shape.n == 0:
         return 1.0
     block_sums = []
-    for log_coeff, a, b in _stat_blocks(shape, p.as_array()):
-        valid = b > -np.inf
-        terms = log_coeff[valid] + lam * a[valid] + (1.0 - lam) * b[valid]
+    for terms in term_blocks:
+        terms = terms[terms > -np.inf]
         if terms.size:
             block_sums.append(logsumexp(terms))
     return math.exp(logsumexp(np.asarray(block_sums)))
+
+
+def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
+    """E exp(lam * n * D(phat || p)) by exact enumeration, log-domain per term."""
+    stats = _stat_blocks(shape, p.as_array())
+    return _exp_sum(shape, p, lam, (log_coeff + lam * a + (1.0 - lam) * b for log_coeff, a, b in stats))
 
 
 def exact_coefficients(shape: ExperimentShape) -> tuple[Fraction, ...]:
@@ -169,23 +159,11 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
     Equals the p-free coefficient form for every p; evaluated here directly
     from its defining sum as an independent check of that fact.
     """
-    if len(p) != shape.k:
-        raise ValueError("probability vector length must equal k")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    _check_guard(shape)
-    if shape.n == 0:
-        return 1.0
     parr = p.as_array()
-    n = shape.n
-    block_sums = []
-    for block, log_coeff in _coeff_blocks(shape):
-        w = lam * block / n + (1.0 - lam) * parr[None, :]
-        terms = log_coeff + _xlogy(block, w).sum(axis=1)
-        terms = terms[terms > -np.inf]
-        if terms.size:
-            block_sums.append(logsumexp(terms))
-    return math.exp(logsumexp(np.asarray(block_sums)))
+    return _exp_sum(shape, p, lam, (
+        log_coeff + _xlogy(block, lam * block / shape.n + (1.0 - lam) * parr[None, :]).sum(axis=1)
+        for block, log_coeff in _coeff_blocks(shape)
+    ))
 
 
 def _require_finite(t: float) -> None:
@@ -203,10 +181,7 @@ def tail_exact(shape: ExperimentShape, p: ProbVector, t: float) -> float:
         return 0.0 if t >= 0.0 else 1.0
     acc = 0.0
     for log_coeff, a, b in _stat_blocks(shape, p.as_array()):
-        valid = b > -np.inf
-        stat = a[valid] - b[valid]
-        log_prob = log_coeff[valid] + b[valid]
-        acc += float(np.exp(log_prob[stat > t]).sum())
+        acc += float(np.exp((log_coeff + b)[a - b > t]).sum())
     return min(acc, 1.0)
 
 

@@ -57,6 +57,18 @@ def test_round_trip_random_queries():
         assert achieved == pytest.approx(alpha, rel=1e-9)
 
 
+@pytest.mark.parametrize("method", ["corrected", "uncorrected", "agrawal_limit"])
+def test_plug_in_critical_values_are_conservative(method):
+    # the bisection accepts only a midpoint whose bound is at most alpha
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        shape = ExperimentShape(int(rng.integers(2, 40)), int(rng.integers(1, 3000)))
+        alpha = float(10 ** rng.uniform(-8, -0.5))
+        t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
+        achieved = evaluate_bound(method, TailQuery(shape, t_star)).value
+        assert alpha * (1 - 1e-9) <= achieved <= alpha
+
+
 def test_direct_inversion_round_trip_to_rounding():
     # the dual and closed-form inversions hit alpha to rounding, not to a bisection tolerance
     rng = np.random.default_rng(53)

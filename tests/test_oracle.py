@@ -93,9 +93,33 @@ def test_enumeration_order_and_coefficients():
     assert len(set(outs)) == len(outs) == n_outcomes(ExperimentShape(3, 3))
 
 
+@pytest.mark.parametrize("k, n", [(1, 0), (1, 7), (4, 0), (2, 3), (5, 9), (3, 400)])
+def test_coeff_blocks_partition_and_order(k, n):
+    blocks = [block for block, _ in _coeff_blocks(ExperimentShape(k, n))]
+    sizes = [len(block) for block in blocks]
+    rows = np.concatenate(blocks)
+    assert all(size == 65536 for size in sizes[:-1]) and 0 < sizes[-1] <= 65536
+    assert len(rows) == n_outcomes(ExperimentShape(k, n))
+    assert rows.shape[1] == k and (rows >= 0).all() and (rows.sum(axis=1) == n).all()
+    # strictly increasing lexicographically, across block boundaries too:
+    # the first coordinate where consecutive rows differ must increase
+    step = np.diff(rows, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()
+    if k == 1 or n == 0:
+        assert rows.tolist() == [[n] if k == 1 else [0] * k]
+    if (k, n) == (3, 400):
+        assert sizes == [65536, 15065]
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError, match="guard"):
         list(enumerate_outcomes(ExperimentShape(30, 40)))
+    # the sums over outcomes check the guard before they draw the first block
+    p = random_prob_vector(30, np.random.default_rng(0))
+    for fn in (mgf_exact, gkn_from_definition, tail_exact):
+        with pytest.raises(ValueError, match="guard"):
+            fn(ExperimentShape(30, 40), p, 0.5)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
