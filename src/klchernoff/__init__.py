@@ -16,6 +16,7 @@ from .bounds import (
     asymp_gamma_tail,
     chernoff_corrected,
     chernoff_exact,
+    chernoff_exact_many,
     chernoff_uncorrected,
     critical_value,
     evaluate_bound,
@@ -79,6 +80,7 @@ __all__ = [
     "butterfly_table",
     "chernoff_corrected",
     "chernoff_exact",
+    "chernoff_exact_many",
     "chernoff_uncorrected",
     "coord_upper_bound",
     "critical_value",

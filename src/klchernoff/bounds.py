@@ -8,6 +8,15 @@ All bound arithmetic happens in log domain and is clamped to 1 only on the
 probability scale: at t around 500 the linear-domain product of exp(-t) with
 a huge combinatorial factor would underflow or overflow double precision.
 
+The exact bound and its inverse come from one lambda search,
+:func:`_lambda_min`, which takes many t (or alpha) of one shape at once.  The
+polynomial depends on the shape only and t enters the objective linearly, so
+the 512-point grid of log G is computed once per call and the refinements of
+all thresholds run in lockstep.  :func:`chernoff_exact_many` gives the exact
+bound at many t for the price of one grid (``sweep`` and ``verify`` use it),
+with the bits of :func:`chernoff_exact` at each; a single query is a batch of
+one and costs what it did.
+
 Methods
 -------
 exact          minimum over lambda in [0, 1] of exp(-lambda t) G(lambda)
@@ -32,6 +41,7 @@ import numpy as np
 from .gkn import (
     ExperimentShape,
     GknEvaluator,
+    _log_eval_points,
     build_evaluator,
     log_eval_gkn,
     log_eval_gkn_grid,
@@ -55,6 +65,11 @@ REFINE_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LAMBDA_GRID = np.linspace(0.0, 1.0, GRID_POINTS)
 _LAMBDA_GRID.flags.writeable = False
+# the grid with its ends repeated: entries j and j + 2 bracket grid point j
+_WALLED_GRID = np.concatenate(([0.0], _LAMBDA_GRID, [1.0]))
+# Parameters (t or log alpha) searched together; bounds the search's buffers
+# at ~1 MiB of objective values a chunk, whatever the batch size.
+_PARAM_CHUNK = 256
 CRITICAL_REL_TOL = 1e-9
 _MAX_BISECTIONS = 500
 
@@ -107,8 +122,8 @@ def _evaluator(k: int, n: int) -> GknEvaluator:
     return build_evaluator(ExperimentShape(k, n))
 
 
-def _require_shape(q: TailQuery) -> tuple[int, int]:
-    k, n = q.shape.k, q.shape.n
+def _require_shape(shape: ExperimentShape) -> tuple[int, int]:
+    k, n = shape.k, shape.n
     if k < 2:
         raise ValueError("tail bounds require k >= 2")
     if n < 1:
@@ -116,58 +131,115 @@ def _require_shape(q: TailQuery) -> tuple[int, int]:
     return k, n
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to interval width tol."""
+def _golden_steps(a: float, b: float):
+    """Golden-section search for a minimum on [a, b], to interval width
+    ``REFINE_TOL``, as a coroutine: it yields each point to evaluate, is sent
+    the objective there, and returns (min, argmin)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    fc = yield c
+    fd = yield d
+    while (b - a) > REFINE_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            fd = yield d
+    return (fc, c) if fc <= fd else (fd, d)
 
 
-def _lambda_min(k: int, n: int, phi) -> tuple[float, float]:
-    """(min, argmin) over lambda in [0, 1] of phi(lambda, log G(lambda)).
+def _lambda_min(k: int, n: int, phi, params: list[float]) -> list[tuple[float, float]]:
+    """(min, argmin) over lambda in [0, 1] of phi(lambda, log G(lambda), p),
+    for each p of ``params``.
 
-    The one lambda search of the package.  ``phi`` takes arrays and scalars
-    alike.  It is evaluated on the 512-point ``_LAMBDA_GRID`` to isolate
-    every basin, and golden-section refinement resolves each to 1e-12.
-    Refinement evaluates only interior points of the brackets, so a ``phi``
-    that is +inf at lambda = 0 excludes that point without a scalar call.
+    The one lambda search of the package.  ``phi`` takes floats, and arrays
+    that broadcast.  ``log G`` on the 512-point ``_LAMBDA_GRID`` depends on
+    the shape only, so it is computed once for all params, which are then
+    searched ``_PARAM_CHUNK`` at a time (:func:`_search_chunk`), so memory is
+    bounded whatever their number.
     """
     ev = _evaluator(k, n)
-    lams = _LAMBDA_GRID
-    obj = phi(lams, log_eval_gkn_grid(ev, lams))
-    candidates: list[tuple[float, float]] = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
-    interior = np.flatnonzero((obj[1:-1] <= obj[:-2]) & (obj[1:-1] <= obj[2:])) + 1
-    brackets = [(float(lams[j - 1]), float(lams[j + 1])) for j in interior]
-    if obj[0] <= obj[1]:
-        brackets.append((0.0, float(lams[1])))
-    if obj[-1] <= obj[-2]:
-        brackets.append((float(lams[-2]), 1.0))
-    for a, b in brackets:
-        x, fx = _golden_min(lambda lam: phi(lam, log_eval_gkn(ev, lam)), a, b, REFINE_TOL)
-        candidates.append((fx, x))
-    return min(candidates)
+    # log G between +inf walls at lambda = 0 and 1 makes the objective +inf
+    # there, so the ends of the grid need no test of their own
+    walled_log_g = np.concatenate(([np.inf], log_eval_gkn_grid(ev, _LAMBDA_GRID), [np.inf]))
+    found = []
+    for start in range(0, len(params), _PARAM_CHUNK):
+        found += _search_chunk(ev, phi, walled_log_g, params[start : start + _PARAM_CHUNK])
+    return found
+
+
+def _search_chunk(ev: GknEvaluator, phi, walled_log_g: np.ndarray, chunk: list[float]) -> list[tuple[float, float]]:
+    """The search of :func:`_lambda_min` for the params of ``chunk``.
+
+    The objective of each param on the grid isolates every basin: a grid
+    point no higher than its neighbours, an end no higher than its one
+    neighbour.  Golden-section refinement resolves each basin to 1e-12, the
+    searches of all basins in lockstep: each step evaluates their points with
+    one call of the batched kernel, which matches ``log_eval_gkn`` bit for
+    bit, so each result is that of a search for its param alone.  Once one
+    search is left it calls ``log_eval_gkn`` itself, so a single query costs
+    what a scalar search does.  Refinement evaluates only interior points of
+    the brackets, so a ``phi`` that is +inf at lambda = 0 excludes that point.
+    """
+    walled = phi(_WALLED_GRID, walled_log_g, np.array(chunk)[:, None])
+    obj = walled[:, 1:-1]
+    owner, j = np.nonzero((obj <= walled[:, :-2]) & (obj <= walled[:, 2:]))
+    # basin j is bracketed by its neighbours, or by an end of [0, 1]
+    brackets = zip(owner.tolist(), _WALLED_GRID[j].tolist(), _WALLED_GRID[j + 2].tolist())
+    candidates = [[(f0, 0.0), (f1, 1.0)] for f0, f1 in zip(obj[:, 0].tolist(), obj[:, -1].tolist())]
+    # each step sends every live search the objective at the point it
+    # yielded; a finished search leaves None and is dropped
+    live = [(chunk[i], _golden_steps(a, b), i) for i, a, b in brackets]
+    points = [search.send(None) for _, search, _ in live]
+    while len(live) > 1:
+        log_gs = _log_eval_points(ev, points)
+        for s, (param, search, i) in enumerate(live):
+            try:
+                points[s] = search.send(phi(points[s], log_gs[s], param))
+            except StopIteration as done:
+                candidates[i].append(done.value)
+                points[s] = None
+        if None in points:
+            live = [entry for entry, lam in zip(live, points) if lam is not None]
+            points = [lam for lam in points if lam is not None]
+    # a lone search, a single query's usual case, has no points to share a
+    # kernel call with
+    for (param, search, i), lam in zip(live, points):
+        try:
+            while True:
+                lam = search.send(phi(lam, log_eval_gkn(ev, lam), param))
+        except StopIteration as done:
+            candidates[i].append(done.value)
+    return [min(found) for found in candidates]
+
+
+def _chernoff_objective(lam, log_g, t):
+    return log_g - lam * t
 
 
 def chernoff_exact(q: TailQuery) -> BoundResult:
     """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1].
 
     The objective is smooth but can have more than one local minimum;
-    :func:`_lambda_min` finds the smallest of log G(lambda) - lambda t.
+    :func:`_lambda_min` finds the smallest of log G(lambda) - lambda t, as a
+    batch of one.
     """
-    k, n = _require_shape(q)
-    t = q.t
-    log_value, lam_star = _lambda_min(k, n, lambda lam, lg: lg - lam * t)
+    k, n = _require_shape(q.shape)
+    ((log_value, lam_star),) = _lambda_min(k, n, _chernoff_objective, [q.t])
     return _make_result("exact", log_value, lam_star)
+
+
+def chernoff_exact_many(shape: ExperimentShape, ts) -> list[BoundResult]:
+    """:func:`chernoff_exact` at every threshold of ``ts``, bit for bit, in
+    one search: the lambda grid of the shape is computed once for all of them
+    and their golden-section refinements run in lockstep.  Each t must be a
+    valid :class:`TailQuery` threshold."""
+    ts = [TailQuery(shape, float(t)).t for t in ts]
+    k, n = _require_shape(shape)
+    return [_make_result("exact", v, lam) for v, lam in _lambda_min(k, n, _chernoff_objective, ts)]
 
 
 def defined_at(method: str, k: int, t: float) -> bool:
@@ -180,7 +252,7 @@ def defined_at(method: str, k: int, t: float) -> bool:
 
 
 def _require_above_line(q: TailQuery, method: str) -> tuple[int, int]:
-    k, n = _require_shape(q)
+    k, n = _require_shape(q.shape)
     if not defined_at(method, k, q.t):
         raise ValueError(
             f"plug-in lambda requires t > k - 1 (t={q.t}, k={q.shape.k}); "
@@ -218,7 +290,7 @@ def _log_g_one(k: int, n: int) -> float:
 
 def lambda_one_bound(q: TailQuery) -> BoundResult:
     """Combinatorial-factor form G(1) exp(-t)."""
-    _require_shape(q)
+    _require_shape(q.shape)
     return _chernoff_at("lambda_one", q, 1.0)
 
 
@@ -264,7 +336,7 @@ _LOG_FACTORS = {"lambda_one": _log_g_one, "types": log_types_factor, "mardia": l
 
 def _factor_form(method: str, q: TailQuery) -> BoundResult:
     """The factor form F exp(-t), with F the method's entry in ``_LOG_FACTORS``."""
-    k, n = _require_shape(q)
+    k, n = _require_shape(q.shape)
     return _make_result(method, _LOG_FACTORS[method](k, n) - q.t)
 
 
@@ -358,13 +430,18 @@ class CriticalValueQuery:
             )
 
 
+def _dual_objective(lam, log_g, log_alpha):
+    return (log_g - log_alpha) / lam
+
+
 def critical_value(q: CriticalValueQuery) -> float:
     """The deviation t* where the chosen bound equals alpha.
 
     exact: t* = min over lambda in (0, 1] of (log G(lambda) - log alpha) / lambda,
     the dual of the bound's own minimization, solved by the same search,
     :func:`_lambda_min`.
-    lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha.
+    lambda_one, types, mardia: the bound is F exp(-t), so t* = log F - log alpha,
+    stepped up float by float until the evaluated bound is at most alpha.
     corrected, uncorrected, agrawal_limit: each bound tends to 1 as t -> (k-1)+
     and is below alpha at log G(1) + 2(k-1) - 2 log alpha, so bisect between,
     accepting only a midpoint on the conservative side: the returned t*
@@ -377,9 +454,16 @@ def critical_value(q: CriticalValueQuery) -> float:
     if q.method == "exact":
         # log G(0) - log alpha > 0, so lambda = 0 gives +inf and is excluded
         with np.errstate(divide="ignore"):
-            return _lambda_min(k, n, lambda lam, lg: (lg - log_alpha) / lam)[0]
+            return _lambda_min(k, n, _dual_objective, [log_alpha])[0][0]
     if q.method in _LOG_FACTORS:
-        return _LOG_FACTORS[q.method](k, n) - log_alpha
+        # the rounding of exp(log F - t) can put the bound a few ulp above
+        # alpha; step t up to the first float where it is not.  The bound is
+        # the one the method's own evaluation gives, from one log F.
+        log_factor = _LOG_FACTORS[q.method](k, n)
+        t = log_factor - log_alpha
+        while _make_result(q.method, log_factor - t).value > q.alpha:
+            t = math.nextafter(t, math.inf)
+        return t
 
     lo, hi = k - 1.0, _log_g_one(k, n) + 2.0 * (k - 1) - 2.0 * log_alpha
     tol = CRITICAL_REL_TOL * q.alpha

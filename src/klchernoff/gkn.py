@@ -21,6 +21,9 @@ at the first block end past the lambda = 1 cut, so it touches at most about
 twice the kept table, not all n ratios.  A lambda grid is reduced in one work
 buffer per call, with each column summed in sequence where the scalar path
 sums pairwise; the two agree to within the rounding of S, not bit for bit.
+A batch of scattered points, the steps of many lambda searches at once, is
+summed one row a point, each row pairwise, so it gives the scalar path's
+bits (:func:`_log_eval_points`).
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -39,6 +42,9 @@ from .special import log_upper_gamma_scaled
 
 # Cap on temporary entries when evaluating on a lambda grid.
 _CHUNK_ENTRIES = 8_000_000
+
+# Cap on the terms of one buffer of :func:`_log_eval_points` (8 MiB).
+_POINT_ENTRIES = 1 << 20
 
 # Coefficients past the cut sum to at most this; a term that small cannot
 # reach the last bit of log G, whose truncated sum is at least c_0 = 1.
@@ -191,15 +197,15 @@ def _check_unit_interval(lam: float) -> None:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
 
 
-def logsumexp(terms: np.ndarray, out: np.ndarray | None = None):
-    """log(sum(exp(terms))) over the first axis, shifted by the maximum so
-    that no term overflows.  Entries of -inf contribute nothing; each column
-    reduced needs at least one finite entry.  The shifted exponentials are
-    written to ``out`` if given (``terms`` itself may be passed), else to a
-    new array."""
-    peak = terms.max(axis=0)
-    shifted = np.subtract(terms, peak, out=out)
-    return peak + np.log(np.exp(shifted, out=shifted).sum(axis=0))
+def logsumexp(terms: np.ndarray, out: np.ndarray | None = None, axis: int = 0):
+    """log(sum(exp(terms))) over ``axis``, the first or the last, shifted by
+    the maximum so that no term overflows.  Entries of -inf contribute
+    nothing; each line reduced needs at least one finite entry.  The shifted
+    exponentials are written to ``out`` if given (``terms`` itself may be
+    passed), else to a new array."""
+    peak = terms.max(axis=axis)
+    shifted = np.subtract(terms, peak if axis == 0 else peak[..., None], out=out)
+    return peak + np.log(np.exp(shifted, out=shifted).sum(axis=axis))
 
 
 def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -263,6 +269,41 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
             np.multiply(m[:kept], np.log(lams_chunk)[None, :], out=terms)
             np.add(lc, terms, out=terms)
             out[idx] = logsumexp(terms, out=terms) + tail * (lams_chunk / _KNOTS[j]) ** kept
+    return out
+
+
+def _log_eval_points(ev: GknEvaluator, lams: list[float]) -> list[float]:
+    """:func:`log_eval_gkn` at each float of ``lams``, bit for bit; the
+    points are trusted to lie in [0, 1].
+
+    Points are grouped by the prefix length kept_j of their knots, so knots
+    that keep the same prefix share a group.  Each group is summed in one work
+    buffer of ``(points, kept_j)`` terms, one row a point, at most
+    ``_POINT_ENTRIES`` terms at a time, and reduced along the contiguous
+    axis: NumPy sums each row pairwise, as it sums the 1-d prefix of the
+    scalar path.  The log of each point and the tail term of its own knot are
+    taken with ``math.log`` and float ``**``, point by point, as there;
+    NumPy's vector log and power can differ from them in the last bit.
+    """
+    out = [0.0] * len(lams)
+    if ev.log_coeffs.size == 1:
+        return out
+    knot_of = [bisect.bisect_left(_KNOTS, lam) for lam in lams]
+    groups: dict[int, list[int]] = {}
+    for i, (lam, j) in enumerate(zip(lams, knot_of)):
+        if lam > 0.0:
+            groups.setdefault(ev.cuts[j][0], []).append(i)
+    for kept, group in groups.items():
+        m = np.arange(kept, dtype=float)
+        rows = max(1, _POINT_ENTRIES // kept)
+        work = np.empty((min(rows, len(group)), kept))
+        for start in range(0, len(group), rows):
+            idx = group[start : start + rows]
+            terms = np.multiply.outer([math.log(lams[i]) for i in idx], m, out=work[: len(idx)])
+            terms += ev.log_coeffs[:kept]
+            for i, log_s in zip(idx, logsumexp(terms, out=terms, axis=-1).tolist()):
+                j = knot_of[i]
+                out[i] = log_s + ev.cuts[j][1] * (lams[i] / _KNOTS[j]) ** kept
     return out
 
 

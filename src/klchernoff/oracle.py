@@ -4,9 +4,15 @@ Enumerates every multinomial outcome at desk scale to evaluate the MGF, the
 p-dependent polynomial definition, and exact tail probabilities; estimates
 tails by seeded Monte Carlo where enumeration is out of reach; gives the
 polynomial's coefficients as exact rationals for bit-exact checks.  One
-generator, :func:`_coeff_blocks`, enumerates by stars and bars; the rows p
-cannot produce are masked once, and one reducer, :func:`_exp_sum`, sums the
-MGF and the polynomial's definition alike.  All of it is independent of the
+generator, :func:`_coeff_blocks`, enumerates by stars and bars, and one
+per-shape helper, :func:`_outcome_sums`, draws its blocks once for any number
+of sums: the MGF and the polynomial's definition at many (p, lambda), and the
+tail at many (p, t).  :func:`mgf_exact`, :func:`gkn_from_definition` and
+:func:`tail_exact` are that helper for one argument, and ``verify`` calls it
+once per shape.  The rows p cannot produce are masked once per block, and
+every value is bit for bit what a call for it alone gives.  The module loads
+``fractions`` only inside :func:`exact_coefficients`, as no command needs
+it.  All of it is independent of the
 coefficient-based evaluation in :mod:`klchernoff.gkn`, so the two cross-check
 each other; they share only the log-sum-exp reduction, tested on its own
 against SciPy's.  It needs only NumPy and ``math``, so no command loads SciPy.
@@ -19,14 +25,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .data import ProbVector
 from .gkn import ExperimentShape, logsumexp
 from .special import rel_entr
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUMERATION_GUARD = 10**7
 _BLOCK = 65536
@@ -94,46 +102,102 @@ def enumerate_outcomes(shape: ExperimentShape) -> Iterator[Outcome]:
             yield Outcome(counts=tuple(int(v) for v in row), log_multinomial_coeff=float(lc))
 
 
-def _stat_blocks(shape: ExperimentShape, p: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block, for the rows p can produce: log multinomial coeff,
-    sum X log(X/n) and sum X log p, all finite (so 0 * sum X log p is 0).
+def _append_row_sums(sums: list[list], terms: np.ndarray) -> None:
+    """Append to ``sums[r]`` the log-sum-exp of the finite entries of row r of
+    ``terms``, for each row with one.  Rows reduce along the contiguous axis,
+    which sums each pairwise as the 1-d sum of that row alone; a row with
+    -inf entries drops them first, as a lone row would."""
+    if not terms.shape[1]:
+        return
+    if (terms > -np.inf).all():
+        for row_sums, value in zip(sums, logsumexp(terms, axis=-1).tolist()):
+            row_sums.append(value)
+        return
+    for row_sums, row in zip(sums, terms):
+        row = row[row > -np.inf]
+        if row.size:
+            row_sums.append(logsumexp(row))
+
+
+def _outcome_sums(
+    shape: ExperimentShape,
+    ps: list[np.ndarray],
+    mgf_lams: Sequence[float] = (),
+    definition_lams: Sequence[float] = (),
+    ts: Sequence[Sequence[float]] | None = None,
+) -> tuple[list[list[float]], list[list[float]], list[list[float]]]:
+    """Sums over the outcomes of ``shape`` for many arguments, from one
+    enumeration: for each probability array p of ``ps``, the MGF at each
+    lambda of ``mgf_lams``, the polynomial's definition at each lambda of
+    ``definition_lams``, and the tail P(n D > t) at each t of ``ts[i]``
+    (no tails if ``ts`` is None).  Returns the three tables, indexed
+    [p][lambda] and [p][t].
+
+    Each value is, bit for bit, what a call for its argument alone returns.
+    The lambdas of one p are evaluated together in ``(lambdas, outcomes)``
+    arrays, with the same elementwise steps as one lambda, and each row
+    reduces on its own (:func:`_append_row_sums`); the rows p cannot produce
+    are masked before its sums, and a block's exponentials are taken once for
+    all its thresholds.  The arguments and the guard are checked before the
+    first block is drawn.
     """
-    n = shape.n
-    support = p > 0.0
-    log_p = np.log(np.where(support, p, 1.0))
-    for block, log_coeff in _coeff_blocks(shape):
-        if not support.all():
-            keep = ~block[:, ~support].any(axis=1)
-            block, log_coeff = block[keep], log_coeff[keep]
-        yield log_coeff, _xlogy(block, block).sum(axis=1) - n * math.log(n), block @ log_p
-
-
-def _exp_sum(shape: ExperimentShape, p: ProbVector, lam: float, term_blocks: Iterable[np.ndarray]) -> float:
-    """exp of the log-sum-exp over the blocks of each block's finite terms.
-
-    The one reducer of :func:`mgf_exact` and :func:`gkn_from_definition`,
-    which differ only in their lazy ``term_blocks``; it checks the arguments
-    and the guard before it draws the first block.
-    """
-    if len(p) != shape.k:
+    k, n = shape.k, shape.n
+    ts = [()] * len(ps) if ts is None else ts
+    if any(len(p) != k for p in ps):
         raise ValueError("probability vector length must equal k")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    for lam in (*mgf_lams, *definition_lams):
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    for t_list in ts:
+        for t in t_list:
+            _require_finite(t)
     _check_guard(shape)
-    if shape.n == 0:
-        return 1.0
-    block_sums = []
-    for terms in term_blocks:
-        terms = terms[terms > -np.inf]
-        if terms.size:
-            block_sums.append(logsumexp(terms))
-    return math.exp(logsumexp(np.asarray(block_sums)))
+    if n == 0:
+        # the one outcome has statistic 0 and weight 1
+        return (
+            [[1.0] * len(mgf_lams) for _ in ps],
+            [[1.0] * len(definition_lams) for _ in ps],
+            [[0.0 if t >= 0.0 else 1.0 for t in t_list] for t_list in ts],
+        )
+    mgf_col = np.array(mgf_lams, dtype=float)[:, None]
+    definition_col = np.array(definition_lams, dtype=float)[:, None, None]
+    supports = [p > 0.0 for p in ps]
+    log_ps = [np.log(np.where(support, p, 1.0)) for p, support in zip(ps, supports)]
+    mgf_sums = [[[] for _ in mgf_lams] for _ in ps]
+    definition_sums = [[[] for _ in definition_lams] for _ in ps]
+    tails = [[0.0] * len(t_list) for t_list in ts]
+    statistic = bool(mgf_lams) or any(ts)
+    for block, log_coeff in _coeff_blocks(shape):
+        # sum X log(X/n), the p-free part of n D(phat || p)
+        a_block = _xlogy(block, block).sum(axis=1) - n * math.log(n) if statistic else None
+        for i, p in enumerate(ps):
+            if definition_lams:
+                y = definition_col * block / n + (1.0 - definition_col) * p
+                _append_row_sums(definition_sums[i], log_coeff + _xlogy(block, y).sum(axis=-1))
+            if not (mgf_lams or ts[i]):
+                continue
+            # the rows p can produce, with their sum X log p, all finite
+            rows, log_c, a = block, log_coeff, a_block
+            if not supports[i].all():
+                keep = ~block[:, ~supports[i]].any(axis=1)
+                rows, log_c, a = block[keep], log_coeff[keep], a_block[keep]
+            b = rows @ log_ps[i]
+            if mgf_lams:
+                _append_row_sums(mgf_sums[i], log_c + mgf_col * a + (1.0 - mgf_col) * b)
+            if ts[i]:
+                weights, stat = np.exp(log_c + b), a - b
+                for j, t in enumerate(ts[i]):
+                    tails[i][j] += float(weights[stat > t].sum())
+    return (
+        [[math.exp(logsumexp(np.asarray(sums))) for sums in per_p] for per_p in mgf_sums],
+        [[math.exp(logsumexp(np.asarray(sums))) for sums in per_p] for per_p in definition_sums],
+        [[min(acc, 1.0) for acc in per_p] for per_p in tails],
+    )
 
 
 def mgf_exact(shape: ExperimentShape, p: ProbVector, lam: float) -> float:
     """E exp(lam * n * D(phat || p)) by exact enumeration, log-domain per term."""
-    stats = _stat_blocks(shape, p.as_array())
-    return _exp_sum(shape, p, lam, (log_coeff + lam * a + (1.0 - lam) * b for log_coeff, a, b in stats))
+    return _outcome_sums(shape, [p.as_array()], mgf_lams=[lam])[0][0][0]
 
 
 def exact_coefficients(shape: ExperimentShape) -> tuple[Fraction, ...]:
@@ -143,6 +207,9 @@ def exact_coefficients(shape: ExperimentShape) -> tuple[Fraction, ...]:
     Built from the closed form, independently of the log-domain ratio walk
     of :func:`klchernoff.gkn.build_evaluator`, so the two can be compared.
     """
+    # imported here: fractions loads decimal, which no command needs
+    from fractions import Fraction
+
     k, n = shape.k, shape.n
     if k == 1 or n == 0:
         return (Fraction(1),)
@@ -159,11 +226,7 @@ def gkn_from_definition(shape: ExperimentShape, p: ProbVector, lam: float) -> fl
     Equals the p-free coefficient form for every p; evaluated here directly
     from its defining sum as an independent check of that fact.
     """
-    parr = p.as_array()
-    return _exp_sum(shape, p, lam, (
-        log_coeff + _xlogy(block, lam * block / shape.n + (1.0 - lam) * parr[None, :]).sum(axis=1)
-        for block, log_coeff in _coeff_blocks(shape)
-    ))
+    return _outcome_sums(shape, [p.as_array()], definition_lams=[lam])[1][0][0]
 
 
 def _require_finite(t: float) -> None:
@@ -173,16 +236,7 @@ def _require_finite(t: float) -> None:
 
 def tail_exact(shape: ExperimentShape, p: ProbVector, t: float) -> float:
     """P(n * D(phat || p) > t) by exact enumeration (strict inequality)."""
-    if len(p) != shape.k:
-        raise ValueError("probability vector length must equal k")
-    _require_finite(t)
-    _check_guard(shape)
-    if shape.n == 0:
-        return 0.0 if t >= 0.0 else 1.0
-    acc = 0.0
-    for log_coeff, a, b in _stat_blocks(shape, p.as_array()):
-        acc += float(np.exp((log_coeff + b)[a - b > t]).sum())
-    return min(acc, 1.0)
+    return _outcome_sums(shape, [p.as_array()], ts=[[t]])[2][0][0]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Self-check suite: enumeration-based properties runnable from the CLI.
 
 Each property compares an analytic quantity against the exact enumeration
-oracle on a grid of small shapes.  A hidden fault-injection hook tampers
-with one polynomial coefficient so the suite's ability to fail can itself
-be demonstrated.
+oracle on a grid of small shapes.  The work is shared per shape: one
+enumeration gives every oracle value of the shape (the MGF and the definition
+of G at each lambda for every p, the tails at each t), and one lambda search,
+:func:`klchernoff.bounds.chernoff_exact_many`, gives the exact bound at its
+eight thresholds.  A hidden fault-injection hook tampers with one polynomial
+coefficient so the suite's ability to fail can itself be demonstrated.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import numpy as np
 
 from . import bounds
 from .gkn import ExperimentShape, GknEvaluator, _recurrence_residual, build_evaluator, eval_gkn
-from .oracle import gkn_from_definition, mgf_exact, random_prob_vector, tail_exact
+from .oracle import _outcome_sums, random_prob_vector
 
 _CHECK_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _N_RANDOM_P = 5
+# the tails are checked for the first this many p of each shape
+_N_TAIL_P = 2
 
 
 @dataclass
@@ -81,17 +86,26 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
 
     for shape in shapes:
         ev = evaluator(shape)
-        for lam in _CHECK_LAMBDAS:
+        threshold = bounds.meaningful_threshold(shape)
+        t_grid = np.linspace(threshold + 0.1, max(3.0 * (shape.k - 1), threshold + 6.0), 8).tolist()
+        # one enumeration of the shape serves every oracle value below: the
+        # MGF and the definition of G at each lambda for every p, and the
+        # tail at each t for the first _N_TAIL_P of them
+        ps = [p.as_array() for p in p_sets[shape]]
+        mgf, definition, tails = _outcome_sums(
+            shape, ps, _CHECK_LAMBDAS, _CHECK_LAMBDAS, [t_grid if i < _N_TAIL_P else () for i in range(len(ps))]
+        )
+        for li, lam in enumerate(_CHECK_LAMBDAS):
             g = eval_gkn(ev, lam)
-            values = [gkn_from_definition(shape, p, lam) for p in p_sets[shape]]
+            values = [per_p[li] for per_p in definition]
             spread = (max(values) - min(values)) / g
             p_indep.check(
                 spread < 1e-10 and abs(values[0] - g) <= 1e-10 * g,
                 f"definition of G varies with p or misses the coefficient form at {shape}, lam={lam}",
             )
-            for p in p_sets[shape]:
+            for per_p in mgf:
                 jensen.check(
-                    mgf_exact(shape, p, lam) <= g * (1.0 + 1e-12),
+                    per_p[li] <= g * (1.0 + 1e-12),
                     f"MGF exceeds the polynomial bound at {shape}, lam={lam}",
                 )
             residual = _recurrence_residual(evaluator, shape.k, shape.n, lam)
@@ -100,11 +114,9 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
                 f"recurrence residual {residual:.3e} too large at {shape}, lam={lam}",
             )
 
-        threshold = bounds.meaningful_threshold(shape)
-        t_grid = np.linspace(threshold + 0.1, max(3.0 * (shape.k - 1), threshold + 6.0), 8)
-        for t in t_grid:
-            q = bounds.TailQuery(shape, float(t))
-            exact = bounds.chernoff_exact(q)
+        # one lambda search serves every t of the shape
+        for ti, (t, exact) in enumerate(zip(t_grid, bounds.chernoff_exact_many(shape, t_grid))):
+            q = bounds.TailQuery(shape, t)
             lam_one = bounds.lambda_one_bound(q)
             types = bounds.types_bound(q)
             chain = [
@@ -115,8 +127,8 @@ def run_suite(max_k: int = 4, max_n: int = 8, seed: int = 0, inject_fault: bool 
                 if bounds.defined_at(method, shape.k, t):
                     chain.append(exact.value <= bounds.evaluate_bound(method, q).value * (1.0 + 1e-12))
             dominance.check(all(chain), f"bound dominance chain broken at {shape}, t={t:.4f}")
-            for p in p_sets[shape][:2]:
-                tail = tail_exact(shape, p, float(t))
+            for per_p in tails[:_N_TAIL_P]:
+                tail = per_p[ti]
                 tail_validity.check(
                     tail <= exact.value * (1.0 + 1e-12) + 1e-15,
                     f"exact tail {tail:.3e} exceeds bound {exact.value:.3e} at {shape}, t={t:.4f}",

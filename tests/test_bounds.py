@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from klchernoff import bounds
 from klchernoff.bounds import (
     ALL_METHODS,
     BOUND_METHODS,
@@ -12,6 +13,7 @@ from klchernoff.bounds import (
     asymp_gamma_tail,
     chernoff_corrected,
     chernoff_exact,
+    chernoff_exact_many,
     chernoff_uncorrected,
     defined_at,
     evaluate_bound,
@@ -22,6 +24,7 @@ from klchernoff.bounds import (
     types_bound,
 )
 from klchernoff.gkn import ExperimentShape, build_evaluator, log_eval_gkn, log_eval_gkn_grid
+from test_gkn import _traced_peak_mib
 
 
 def q(k, n, t):
@@ -260,3 +263,72 @@ def test_evaluate_bound_dispatch():
     with pytest.raises(ValueError):
         evaluate_bound("nope", query)
     assert set(BOUND_METHODS) | {"asymp_gamma"} == set(ALL_METHODS)
+
+
+def _scalar_search(k, n, t):
+    """The exact bound's search one basin and one lambda at a time: the same
+    grid brackets, each refined by a scalar golden-section search on
+    log_eval_gkn.  The lockstep search must give its bits."""
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = bounds._LAMBDA_GRID
+    obj = log_eval_gkn_grid(ev, lams) - lams * t
+    candidates = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
+    brackets = [(lams[j - 1], lams[j + 1]) for j in range(1, lams.size - 1) if obj[j] <= obj[j - 1] and obj[j] <= obj[j + 1]]
+    brackets += [(0.0, lams[1])] if obj[0] <= obj[1] else []
+    brackets += [(lams[-2], 1.0)] if obj[-1] <= obj[-2] else []
+    for a, b in brackets:
+        a, b = float(a), float(b)
+        f = lambda lam: log_eval_gkn(ev, lam) - lam * t
+        c, d = b - bounds._INVPHI * (b - a), a + bounds._INVPHI * (b - a)
+        fc, fd = f(c), f(d)
+        while b - a > bounds.REFINE_TOL:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - bounds._INVPHI * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + bounds._INVPHI * (b - a)
+                fd = f(d)
+        candidates.append((fc, c) if fc <= fd else (fd, d))
+    return min(candidates)
+
+
+# the benchmark's probe shapes and (31, 93), whose objective has two basins
+SEARCH_SHAPES = [(6, 100), (436, 2029), (50, 10**5), (2, 10**6), (31, 93)]
+
+
+@pytest.mark.parametrize("k,n", SEARCH_SHAPES)
+def test_exact_many_matches_single_queries_bit_for_bit(k, n):
+    shape = ExperimentShape(k, n)
+    line = k - 1.0
+    ts = np.linspace(0.1, 3 * k + 12, 21).tolist() + [line, math.nextafter(line, 0.0), math.nextafter(line, 99.0)]
+    np.random.default_rng(k).shuffle(ts)
+    assert min(ts) < line < max(ts)
+    many = chernoff_exact_many(shape, ts)
+    assert many == [chernoff_exact(TailQuery(shape, t)) for t in ts]
+    for t, result in zip(ts[:6], many):
+        assert (result.log_value, result.lambda_used) == _scalar_search(k, n, t)
+
+
+def test_exact_many_chunks_give_the_same_bits(monkeypatch):
+    shape = ExperimentShape(31, 93)
+    ts = np.linspace(0.5, 90.0, 26).tolist()
+    whole = chernoff_exact_many(shape, ts)
+    monkeypatch.setattr(bounds, "_PARAM_CHUNK", 7)
+    assert chernoff_exact_many(shape, ts) == whole
+    assert chernoff_exact_many(shape, []) == []
+    with pytest.raises(ValueError):
+        chernoff_exact_many(shape, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        chernoff_exact_many(ExperimentShape(1, 5), [1.0])
+
+
+def test_lambda_search_memory_does_not_grow_with_the_batch():
+    # unchunked, 2,048 thresholds would hold an 8 MiB objective and its masks
+    def peak(count):
+        ts = np.linspace(0.5, 20.0, count).tolist()
+        return _traced_peak_mib(lambda: bounds._lambda_min(3, 10, bounds._chernoff_objective, ts))
+
+    one_chunk = peak(bounds._PARAM_CHUNK)
+    assert peak(8 * bounds._PARAM_CHUNK) < one_chunk + 0.5

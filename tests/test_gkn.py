@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from scipy import integrate, optimize
 
 from klchernoff import gkn
 from klchernoff.gkn import (
@@ -249,6 +250,73 @@ def test_grid_matches_per_group_temporaries_bit_for_bit(k, n):
         assert log_eval_gkn_grid(ev, lams).tobytes() == _grid_with_temporaries(ev, lams).tobytes()
 
 
+KERNEL_SHAPES = [(6, 100), (436, 2029), (50, 10**5), (2, 10**6), (31, 93), (2, 1), (3, 4), (1, 5), (4, 0)]
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SHAPES)
+def test_point_kernel_matches_scalar_bit_for_bit(k, n):
+    # random lambdas in every knot's group, the knots and their neighbours,
+    # evaluated together, in groups of one, and one point at a time
+    ev = build_evaluator(ExperimentShape(k, n))
+    rng = np.random.default_rng(k + n)
+    lams = [float(x) for j in range(8) for x in rng.uniform(j / 8, (j + 1) / 8, 40)]
+    lams += [x for knot in KNOTS for x in (math.nextafter(knot, 0.0), knot, math.nextafter(knot, 1.0))]
+    lams += [0.0, 5e-324, 1.0]
+    rng.shuffle(lams)
+    scalar = [log_eval_gkn(ev, lam) for lam in lams]
+    assert gkn._log_eval_points(ev, lams) == scalar
+    assert [gkn._log_eval_points(ev, [lam])[0] for lam in lams] == scalar
+    one_per_knot = [lams[j] for j in range(0, len(lams), 37)]
+    assert gkn._log_eval_points(ev, one_per_knot) == [log_eval_gkn(ev, lam) for lam in one_per_knot]
+
+
+def test_point_kernel_splits_large_groups_bit_for_bit(monkeypatch):
+    # buffers of at most 7 rows: groups split across several buffers
+    ev = build_evaluator(ExperimentShape(436, 2029))
+    monkeypatch.setattr(gkn, "_POINT_ENTRIES", 7 * ev.log_coeffs.size)
+    lams = np.random.default_rng(3).uniform(0.0, 1.0, 300).tolist()
+    assert gkn._log_eval_points(ev, lams) == [log_eval_gkn(ev, lam) for lam in lams]
+
+
+def _gamma_mixture_log_g(k, n, lam):
+    """log G_{k,n}(lam) from G = E (1 + lam U / n)^n, U ~ Gamma(k - 1, 1).
+
+    Expanding the power, E U^m = Gamma(m + k - 1) / Gamma(k - 1) turns the
+    mixture into the coefficient sum, independently of the ratio walk.  The
+    density exp(h(u)), h(u) = n log1p(lam u / n) + (k - 2) log u - u -
+    lgamma(k - 1), is integrated by ``quad`` scaled by its peak, split at the
+    mode and a few widths either side of it.
+    """
+    c = math.lgamma(k - 1)
+
+    def h(u):
+        return n * math.log1p(lam * u / n) + (k - 2) * math.log(u) - u - c
+
+    # h' = lam / (1 + lam u / n) + (k - 2) / u - 1 falls from +inf to below 0
+    mode = optimize.brentq(lambda u: lam / (1 + lam * u / n) + (k - 2) / u - 1, 1e-12, 2.0 * (k + n)) if k > 2 else 0.0
+    peak = h(mode) if k > 2 else -c
+
+    def density(u):
+        return math.exp(h(u) - peak) if k > 2 or u > 0.0 else math.exp(-c - peak)
+
+    width = math.sqrt(mode + k)
+    edges = sorted({0.0, mode} | {x for x in (mode - 8 * width, mode - 2 * width, mode + 2 * width, mode + 8 * width) if x > 0})
+    pieces = [integrate.quad(density, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in zip(edges, edges[1:])]
+    pieces.append(integrate.quad(density, edges[-1], math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+    return peak + math.log(math.fsum(pieces))
+
+
+@pytest.mark.parametrize("k,n", [(436, 2029), (50, 10**5), (2, 10**6)])
+def test_log_eval_matches_gamma_mixture_beyond_enumeration(k, n):
+    # an independent formula where no enumeration reaches: agrees to ~1e-15
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = [0.3, 0.9, 1.0]
+    batched = gkn._log_eval_points(ev, lams)
+    for lam, value in zip(lams, batched):
+        reference = _gamma_mixture_log_g(k, n, lam)
+        assert log_eval_gkn(ev, lam) == value == pytest.approx(reference, rel=1e-13)
+
+
 def _traced_peak_mib(fn):
     """Peak of memory allocated by ``fn()``, above what was held before, in MiB."""
     tracing = tracemalloc.is_tracing()
@@ -261,6 +329,16 @@ def _traced_peak_mib(fn):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_point_kernel_memory_is_bounded_in_the_batch():
+    # 10^5 points of 246 terms in one group would take a 188 MiB buffer; the
+    # kernel sums them 4,262 rows at a time in one 8 MiB buffer (~15 MiB with
+    # its lists)
+    ev = build_evaluator(ExperimentShape(50, 10**5))
+    assert ev.cuts[3][0] == 246
+    lams = np.linspace(0.376, 0.5, 10**5).tolist()
+    assert _traced_peak_mib(lambda: gkn._log_eval_points(ev, lams)) < 18.0
 
 
 def test_build_and_grid_allocate_no_table_sized_temporaries():
@@ -333,6 +411,9 @@ def test_recurrence_examples():
 
 
 def test_monotone_in_n_and_dominated_by_limit():
+    """G_{k,n}(lam) = E (1 + lam U / n)^n with U ~ Gamma(k - 1, 1) (see
+    :func:`_gamma_mixture_log_g`).  As n grows the integrand rises to e^{lam U},
+    so G_{k,n} increases in n to E e^{lam U} = (1 - lam)^-(k-1), the limit."""
     grid = np.linspace(0.0, 1.0, 21)
     for k in (2, 3, 6):
         prev = None

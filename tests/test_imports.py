@@ -1,5 +1,5 @@
 """The package and every command, the oracle's verify and mc-tail included,
-load no SciPy, numpy.ma or concurrent.futures."""
+load no SciPy, numpy.ma, concurrent.futures, fractions or decimal."""
 
 import json
 import os
@@ -11,17 +11,18 @@ import klchernoff
 
 _SRC = str(Path(klchernoff.__file__).resolve().parents[1])
 
-# Prints, one JSON line each: the scipy, numpy.ma and concurrent modules loaded
-# after the imports, after every command of ``commands`` and after the mc-tail
-# command that follows, then that command's record.  scipy.special costs ~17
-# MiB resident; numpy.ma ~1.5 MiB, and np.unique imports it;
-# concurrent.futures brings logging and queue along.
+# Prints, one JSON line each: the scipy, numpy.ma, concurrent, fractions and
+# decimal modules loaded after the imports, after every command of
+# ``commands`` and after the mc-tail command that follows, then that command's
+# record.  scipy.special costs ~17 MiB resident; numpy.ma ~1.5 MiB, and
+# np.unique imports it; concurrent.futures brings logging and queue along;
+# fractions loads decimal, ~2-3 ms of every cold start.
 _PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 
 def loaded():
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent") or m.split(".")[:2] == ["numpy", "ma"])))
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "fractions", "decimal") or m.split(".")[:2] == ["numpy", "ma"])))
 
 import klchernoff, klchernoff.cli
 loaded()
@@ -58,6 +59,7 @@ def test_inversion_and_oracle_commands_load_no_scipy():
     commands = [
         ["sweep", "--k", "6", "--n", "100", "--t-min", "1", "--t-max", "30", "--points", "5"],
         ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "exact"],
+        ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "lambda_one"],
         ["ci-unseen", "--counts", "1,1,2,3,5,8", "--alpha", "0.05"],
         ["ci-coord", "--counts", "4,6", "--coord", "2", "--alpha", "0.1"],
         ["verify", "--max-k", "3", "--max-n", "4"],

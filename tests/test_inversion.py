@@ -57,9 +57,10 @@ def test_round_trip_random_queries():
         assert achieved == pytest.approx(alpha, rel=1e-9)
 
 
-@pytest.mark.parametrize("method", ["corrected", "uncorrected", "agrawal_limit"])
+@pytest.mark.parametrize("method", ["corrected", "uncorrected", "agrawal_limit", "lambda_one", "types", "mardia"])
 def test_plug_in_critical_values_are_conservative(method):
-    # the bisection accepts only a midpoint whose bound is at most alpha
+    # the bisection accepts only a midpoint whose bound is at most alpha, and
+    # a factor method's log F - log alpha is stepped up until its bound is
     rng = np.random.default_rng(61)
     for _ in range(30):
         shape = ExperimentShape(int(rng.integers(2, 40)), int(rng.integers(1, 3000)))

@@ -9,6 +9,7 @@ from klchernoff.gkn import ExperimentShape, build_evaluator, eval_gkn
 from klchernoff.oracle import (
     ProbVector,
     _coeff_blocks,
+    _outcome_sums,
     _xlogy,
     enumerate_outcomes,
     gkn_from_definition,
@@ -120,6 +121,22 @@ def test_enumeration_guard():
     for fn in (mgf_exact, gkn_from_definition, tail_exact):
         with pytest.raises(ValueError, match="guard"):
             fn(ExperimentShape(30, 40), p, 0.5)
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (3, 8), (4, 6), (5, 30), (3, 400)])
+def test_outcome_sums_match_one_argument_calls_bit_for_bit(k, n):
+    # one enumeration for many (p, lambda) and (p, t), as verify uses it;
+    # (5, 30) and (3, 400) span several blocks
+    rng = np.random.default_rng(k * n)
+    ps = [random_prob_vector(k, rng) for _ in range(3)] + [random_prob_vector(k, rng, zero_coord=k - 1)]
+    lams = (0.0, 0.25, 0.6, 1.0)
+    ts = [np.linspace(-0.5, 3.0 * k, 5).tolist(), [], [0.0, 1.5], [2.0]]
+    shape = ExperimentShape(k, n)
+    mgf, definition, tails = _outcome_sums(shape, [p.as_array() for p in ps], lams, lams[::-1], ts)
+    for i, p in enumerate(ps):
+        assert mgf[i] == [mgf_exact(shape, p, lam) for lam in lams]
+        assert definition[i] == [gkn_from_definition(shape, p, lam) for lam in lams[::-1]]
+        assert tails[i] == [tail_exact(shape, p, t) for t in ts[i]]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
