@@ -3,31 +3,35 @@
 Subcommands: bound, sweep, critical, ci-unseen, ci-coord, verify, mc-tail.
 All logarithms and deviation levels are natural-log (nats).  Exit codes:
 0 success, 1 usage or domain error, 2 verification failure.
+
+Every process is a cold start, so each command loads only the modules it
+runs.  ``bounds`` and ``gkn`` (with ``special``) load with this module and
+serve ``bound``, ``sweep`` and ``critical``; the ``ci-*`` commands add
+``data`` and ``inversion``, ``mc-tail`` adds ``data`` and ``oracle``, and
+``verify`` adds ``data``, ``oracle`` and ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bounds
 from .bounds import CriticalValueQuery, critical_value
-from .data import FrequencyTable, ProbVector
 from .gkn import ExperimentShape
-from .inversion import CoordinateCI, coord_upper_bound, unseen_upper_bound
-from .oracle import mc_tail
-from .verify import run_suite
+
+if TYPE_CHECKING:
+    from .data import FrequencyTable
+    from .inversion import CoordinateCI
 
 _CSV_DIGITS = 10
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("KLCHERNOFF_SEED", "0"))
 
 
 def _emit_json(obj) -> None:
@@ -87,6 +91,8 @@ def _parse_methods(names: str, allow_reference: bool) -> list[str]:
 
 
 def _load_table(args) -> FrequencyTable:
+    from .data import FrequencyTable
+
     if args.counts is not None:
         try:
             counts = [int(c) for c in args.counts.split(",") if c.strip()]
@@ -168,6 +174,8 @@ def _ci_record(shape: ExperimentShape, ci: CoordinateCI, extra: dict) -> dict:
 
 
 def cmd_ci_unseen(args) -> int:
+    from .inversion import unseen_upper_bound
+
     table = _load_table(args)
     ci = unseen_upper_bound(table, args.alpha)
     shape = ExperimentShape(table.k_observed + 1, table.n)
@@ -177,6 +185,9 @@ def cmd_ci_unseen(args) -> int:
 
 
 def cmd_ci_coord(args) -> int:
+    from .data import ProbVector
+    from .inversion import CoordinateCI, coord_upper_bound
+
     table = _load_table(args)
     shape = ExperimentShape(table.k_observed, table.n)
     if args.t is not None:
@@ -195,6 +206,8 @@ def cmd_ci_coord(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     reports = run_suite(max_k=args.max_k, max_n=args.max_n, seed=args.seed, inject_fault=args.inject_fault)
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -217,6 +230,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mc_tail(args) -> int:
+    from .data import ProbVector
+    from .oracle import mc_tail
+
     shape = ExperimentShape(args.k, args.n)
     if args.p is not None:
         probs = tuple(float(x) for x in args.p.split(","))
@@ -258,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse converts a string default with ``type`` only for the command that
+    # runs, so a malformed KLCHERNOFF_SEED is a usage error of verify and mc-tail
+    seed = os.environ.get("KLCHERNOFF_SEED", "0")
 
     p = sub.add_parser("bound", help="evaluate tail bounds at one deviation level")
     p.add_argument("--k", type=int, required=True)
@@ -303,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the enumeration-based self-check suite")
     p.add_argument("--max-k", dest="max_k", type=int, default=4)
     p.add_argument("--max-n", dest="max_n", type=int, default=8)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--inject-fault", dest="inject_fault", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
@@ -314,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--p", help="comma list of probabilities (default: uniform)")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--workers", type=int, default=1)
     _add_format(p, "json")
     p.set_defaults(func=cmd_mc_tail)
@@ -323,6 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    ``argv=None`` means ``main`` is the process entry (``python -m
+    klchernoff.cli`` or the ``klchernoff`` script): it reads ``sys.argv`` and
+    freezes the garbage collector once the imports are done and again when
+    the command returns, so later collections, the final ones at exit
+    included, skip the start-up heap.  Nothing else is skipped: modules are
+    torn down, streams flushed and ``atexit`` handlers run as usual.  A call
+    with an explicit ``argv`` leaves the collector alone.
+    """
+    entry = argv is None
+    if entry:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -333,6 +365,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if entry:
+            gc.freeze()
 
 
 if __name__ == "__main__":

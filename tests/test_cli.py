@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -232,6 +233,25 @@ def test_mc_tail_deterministic_and_seeded(capsys, monkeypatch):
     _, out4, _ = run_cli(capsys, "mc-tail", "--k", "3", "--n", "10", "--t", "1.5", "--samples", "20000")
     assert json.loads(out4)["seed"] == 4
     assert json.loads(out4)["estimate"] == record["estimate"]
+
+
+def test_malformed_seed_env_fails_only_the_seeded_commands(capsys, monkeypatch):
+    monkeypatch.setenv("KLCHERNOFF_SEED", "abc")
+    code, out, _ = run_cli(capsys, "bound", "--k", "6", "--n", "100", "--t", "12")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "bound_k6_n100_t12.json").read_text()
+    for args in (("mc-tail", "--k", "3", "--n", "10", "--t", "1.5"), ("verify",)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"klchernoff {args[0]}: error: argument --seed: invalid int value: 'abc'"
+        ]
+        assert "Traceback" not in err
+    # an explicit --seed never reads the environment
+    code, out, _ = run_cli(capsys, "mc-tail", "--k", "3", "--n", "10", "--t", "1.5", "--samples", "2000", "--seed", "4")
+    assert code == 0
+    assert json.loads(out)["seed"] == 4
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,17 +1,23 @@
 """Byte-for-byte CLI output against committed fixtures in ``tests/golden``.
 
 Each case runs ``cli.main`` in process and compares stdout with the fixture
-of the same name.  To regenerate after an intended output change, run
+of the same name; a few also run through ``python -m klchernoff.cli``, the
+process entry, which freezes the garbage collector where ``main(argv)`` must
+not.  To regenerate after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 
+import gc
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import klchernoff
 from klchernoff.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -47,10 +53,21 @@ CASES["verify.json"] = ["verify", "--max-k", "3", "--max-n", "3", "--seed", "0",
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
+    frozen = gc.get_freeze_count()
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("name", ["bound_k6_n100_t12.json", "sweep_k6_n100_20pts.csv", "verify.txt", "mc_tail.json"])
+def test_process_entry_matches_golden(name):
+    src = str(Path(klchernoff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "klchernoff.cli", *CASES[name]], env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
