@@ -12,10 +12,12 @@ The exact bound and its inverse come from one lambda search,
 :func:`_lambda_min`, which takes many t (or alpha) of one shape at once.  The
 polynomial depends on the shape only and t enters the objective linearly, so
 the 512-point grid of log G is computed once per call and the refinements of
-all thresholds run in lockstep.  :func:`chernoff_exact_many` gives the exact
-bound at many t for the price of one grid (``sweep`` and ``verify`` use it),
-with the bits of :func:`chernoff_exact` at each; a single query is a batch of
-one and costs what it did.
+all thresholds run in lockstep.  The grid only locates basins: every log G a
+search returns is :func:`gkn.log_eval_gkn`'s pairwise sum, so each exact
+bound is ``log_eval_gkn(lambda) - lambda t`` bit for bit at the lambda it
+reports, and a critical value the dual of that.  :func:`chernoff_exact_many`
+gives the exact bound at many t for the price of one grid (``sweep`` and
+``verify`` use it); :func:`chernoff_exact` is a batch of one.
 
 Methods
 -------
@@ -58,7 +60,8 @@ BOUND_METHODS = (
     "mardia",
     "agrawal_limit",
 )
-ALL_METHODS = BOUND_METHODS + ("asymp_gamma",)
+REFERENCE_METHODS = ("asymp_gamma",)
+ALL_METHODS = BOUND_METHODS + REFERENCE_METHODS
 
 GRID_POINTS = 512
 REFINE_TOL = 1e-12
@@ -165,6 +168,8 @@ def _lambda_min(k: int, n: int, phi, params: list[float]) -> list[tuple[float, f
     # log G between +inf walls at lambda = 0 and 1 makes the objective +inf
     # there, so the ends of the grid need no test of their own
     walled_log_g = np.concatenate(([np.inf], log_eval_gkn_grid(ev, _LAMBDA_GRID), [np.inf]))
+    # the grid only locates basins; lambda = 1, a candidate, takes the scalar bits
+    walled_log_g[-2] = log_eval_gkn(ev, 1.0)
     found = []
     for start in range(0, len(params), _PARAM_CHUNK):
         found += _search_chunk(ev, phi, walled_log_g, params[start : start + _PARAM_CHUNK])
@@ -177,12 +182,12 @@ def _search_chunk(ev: GknEvaluator, phi, walled_log_g: np.ndarray, chunk: list[f
     The objective of each param on the grid isolates every basin: a grid
     point no higher than its neighbours, an end no higher than its one
     neighbour.  Golden-section refinement resolves each basin to 1e-12, the
-    searches of all basins in lockstep: each step evaluates their points with
-    one call of the batched kernel, which matches ``log_eval_gkn`` bit for
-    bit, so each result is that of a search for its param alone.  Once one
-    search is left it calls ``log_eval_gkn`` itself, so a single query costs
-    what a scalar search does.  Refinement evaluates only interior points of
-    the brackets, so a ``phi`` that is +inf at lambda = 0 excludes that point.
+    searches of all basins in lockstep, in one loop: each round evaluates
+    their points with one call of :func:`gkn._log_eval_points`, which gives
+    ``log_eval_gkn``'s pairwise sum bit for bit, so each result is that of a
+    search for its param alone.  The grid only locates basins; every value
+    returned is ``log_eval_gkn``'s.  Refinement evaluates only interior
+    points, so a ``phi`` that is +inf at lambda = 0 excludes that point.
     """
     walled = phi(_WALLED_GRID, walled_log_g, np.array(chunk)[:, None])
     obj = walled[:, 1:-1]
@@ -190,11 +195,11 @@ def _search_chunk(ev: GknEvaluator, phi, walled_log_g: np.ndarray, chunk: list[f
     # basin j is bracketed by its neighbours, or by an end of [0, 1]
     brackets = zip(owner.tolist(), _WALLED_GRID[j].tolist(), _WALLED_GRID[j + 2].tolist())
     candidates = [[(f0, 0.0), (f1, 1.0)] for f0, f1 in zip(obj[:, 0].tolist(), obj[:, -1].tolist())]
-    # each step sends every live search the objective at the point it
-    # yielded; a finished search leaves None and is dropped
+    # each round evaluates the points of every live search in one kernel
+    # call; a finished search leaves None and is dropped
     live = [(chunk[i], _golden_steps(a, b), i) for i, a, b in brackets]
     points = [search.send(None) for _, search, _ in live]
-    while len(live) > 1:
+    while live:
         log_gs = _log_eval_points(ev, points)
         for s, (param, search, i) in enumerate(live):
             try:
@@ -205,14 +210,6 @@ def _search_chunk(ev: GknEvaluator, phi, walled_log_g: np.ndarray, chunk: list[f
         if None in points:
             live = [entry for entry, lam in zip(live, points) if lam is not None]
             points = [lam for lam in points if lam is not None]
-    # a lone search, a single query's usual case, has no points to share a
-    # kernel call with
-    for (param, search, i), lam in zip(live, points):
-        try:
-            while True:
-                lam = search.send(phi(lam, log_eval_gkn(ev, lam), param))
-        except StopIteration as done:
-            candidates[i].append(done.value)
     return [min(found) for found in candidates]
 
 
@@ -221,21 +218,17 @@ def _chernoff_objective(lam, log_g, t):
 
 
 def chernoff_exact(q: TailQuery) -> BoundResult:
-    """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1].
-
-    The objective is smooth but can have more than one local minimum;
-    :func:`_lambda_min` finds the smallest of log G(lambda) - lambda t, as a
-    batch of one.
-    """
-    k, n = _require_shape(q.shape)
-    ((log_value, lam_star),) = _lambda_min(k, n, _chernoff_objective, [q.t])
-    return _make_result("exact", log_value, lam_star)
+    """Tightest bound: minimize exp(-lambda t) G(lambda) over lambda in [0, 1];
+    :func:`chernoff_exact_many` of the one threshold."""
+    (result,) = chernoff_exact_many(q.shape, [q.t])
+    return result
 
 
 def chernoff_exact_many(shape: ExperimentShape, ts) -> list[BoundResult]:
-    """:func:`chernoff_exact` at every threshold of ``ts``, bit for bit, in
-    one search: the lambda grid of the shape is computed once for all of them
-    and their golden-section refinements run in lockstep.  Each t must be a
+    """The exact bound at every threshold of ``ts`` from one search,
+    :func:`_lambda_min`, which finds the least of the local minima of
+    log G(lambda) - lambda t.  Each ``log_value`` is ``log_eval_gkn`` at
+    ``lambda_used`` minus ``lambda_used * t``, bit for bit.  Each t must be a
     valid :class:`TailQuery` threshold."""
     ts = [TailQuery(shape, float(t)).t for t in ts]
     k, n = _require_shape(shape)
@@ -386,9 +379,8 @@ def asymp_gamma_tail(k: int, t: float) -> float:
 
 def meaningful_threshold(shape: ExperimentShape) -> float:
     """min(log G(1), k - 1); the exact bound drops below 1 only above this."""
-    if shape.k < 2 or shape.n < 1:
-        raise ValueError("threshold requires k >= 2 and n >= 1")
-    return min(_log_g_one(shape.k, shape.n), float(shape.k - 1))
+    k, n = _require_shape(shape)
+    return min(_log_g_one(k, n), float(k - 1))
 
 
 _DISPATCH = {
@@ -447,9 +439,7 @@ def critical_value(q: CriticalValueQuery) -> float:
     accepting only a midpoint on the conservative side: the returned t*
     satisfies alpha - 1e-9 * alpha <= bound(t*) <= alpha.
     """
-    k, n = q.shape.k, q.shape.n
-    if k < 2 or n < 1:
-        raise ValueError("critical values require k >= 2 and n >= 1")
+    k, n = _require_shape(q.shape)
     log_alpha = math.log(q.alpha)
     if q.method == "exact":
         # log G(0) - log alpha > 0, so lambda = 0 gives +inf and is excluded

@@ -64,7 +64,7 @@ def _bound_record(result: bounds.BoundResult) -> dict:
         "lambda_used": result.lambda_used,
         "meaningful": result.meaningful,
     }
-    if result.method == "asymp_gamma":
+    if result.method in bounds.REFERENCE_METHODS:
         record["reference_only"] = True
     return record
 

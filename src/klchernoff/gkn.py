@@ -18,12 +18,13 @@ lambda_j = j/8: an evaluation at lambda sums only the prefix of the first knot
 lambda_j >= lambda and adds that knot's certified tail back, so log G is
 rounded up, never down.  The walk runs in blocks of doubling length and stops
 at the first block end past the lambda = 1 cut, so it touches at most about
-twice the kept table, not all n ratios.  A lambda grid is reduced in one work
-buffer per call, with each column summed in sequence where the scalar path
-sums pairwise; the two agree to within the rounding of S, not bit for bit.
-A batch of scattered points, the steps of many lambda searches at once, is
-summed one row a point, each row pairwise, so it gives the scalar path's
-bits (:func:`_log_eval_points`).
+twice the kept table, not all n ratios.  The public lambda grid is reduced in
+one work buffer per call and still sums each column in sequence, where the
+scalar path sums pairwise; the two agree to within the rounding of S, not bit
+for bit, so a lambda search uses the grid only to locate basins.  The steps
+of many searches at once are summed one row a point, each row pairwise, and
+a batch of one is the scalar call itself (:func:`_log_eval_points`): every
+log G a search returns is :func:`log_eval_gkn`'s pairwise sum.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -274,7 +275,9 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
 
 def _log_eval_points(ev: GknEvaluator, lams: list[float]) -> list[float]:
     """:func:`log_eval_gkn` at each float of ``lams``, bit for bit; the
-    points are trusted to lie in [0, 1].
+    points are trusted to lie in [0, 1].  A batch of one is served by
+    :func:`log_eval_gkn` itself, whose one pairwise sum costs fewer NumPy
+    calls than a buffer of one row.
 
     Points are grouped by the prefix length kept_j of their knots, so knots
     that keep the same prefix share a group.  Each group is summed in one work
@@ -285,6 +288,8 @@ def _log_eval_points(ev: GknEvaluator, lams: list[float]) -> list[float]:
     taken with ``math.log`` and float ``**``, point by point, as there;
     NumPy's vector log and power can differ from them in the last bit.
     """
+    if len(lams) == 1:
+        return [log_eval_gkn(ev, lams[0])]
     out = [0.0] * len(lams)
     if ev.log_coeffs.size == 1:
         return out

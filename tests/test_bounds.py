@@ -23,7 +23,7 @@ from klchernoff.bounds import (
     meaningful_threshold,
     types_bound,
 )
-from klchernoff.gkn import ExperimentShape, build_evaluator, log_eval_gkn, log_eval_gkn_grid
+from klchernoff.gkn import ExperimentShape, build_evaluator, eval_gkn, eval_gkn_deriv, log_eval_gkn, log_eval_gkn_grid
 from test_gkn import _traced_peak_mib
 
 
@@ -169,6 +169,9 @@ def test_meaningful_threshold_examples():
     assert meaningful_threshold(ExperimentShape(6, 1)) == pytest.approx(math.log(6), rel=1e-13)
     # log G grows like log(sqrt n) at k=2, so the k-1 term caps the threshold
     assert meaningful_threshold(ExperimentShape(2, 10**6)) == 1.0
+    for shape, message in ((ExperimentShape(1, 5), "k >= 2"), (ExperimentShape(3, 0), "n >= 1")):
+        with pytest.raises(ValueError, match=f"tail bounds require {message}"):
+            meaningful_threshold(shape)
 
 
 def test_meaningfulness_grid():
@@ -262,16 +265,19 @@ def test_evaluate_bound_dispatch():
             assert r.lambda_used is None
     with pytest.raises(ValueError):
         evaluate_bound("nope", query)
-    assert set(BOUND_METHODS) | {"asymp_gamma"} == set(ALL_METHODS)
+    assert ALL_METHODS == BOUND_METHODS + bounds.REFERENCE_METHODS == BOUND_METHODS + ("asymp_gamma",)
 
 
 def _scalar_search(k, n, t):
     """The exact bound's search one basin and one lambda at a time: the same
     grid brackets, each refined by a scalar golden-section search on
-    log_eval_gkn.  The lockstep search must give its bits."""
+    log_eval_gkn, and the grid's lambda = 1 end taken from log_eval_gkn too.
+    The lockstep search must give its bits."""
     ev = build_evaluator(ExperimentShape(k, n))
     lams = bounds._LAMBDA_GRID
-    obj = log_eval_gkn_grid(ev, lams) - lams * t
+    log_g = log_eval_gkn_grid(ev, lams)
+    log_g[-1] = log_eval_gkn(ev, 1.0)
+    obj = log_g - lams * t
     candidates = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
     brackets = [(lams[j - 1], lams[j + 1]) for j in range(1, lams.size - 1) if obj[j] <= obj[j - 1] and obj[j] <= obj[j + 1]]
     brackets += [(0.0, lams[1])] if obj[0] <= obj[1] else []
@@ -309,6 +315,32 @@ def test_exact_many_matches_single_queries_bit_for_bit(k, n):
     assert many == [chernoff_exact(TailQuery(shape, t)) for t in ts]
     for t, result in zip(ts[:6], many):
         assert (result.log_value, result.lambda_used) == _scalar_search(k, n, t)
+
+
+@pytest.mark.parametrize("k,n", SEARCH_SHAPES + [(30, 4), (20, 5)])
+def test_search_returns_the_scalar_log_g_at_the_lambda_it_found(k, n):
+    # the grid only locates basins: each value is log_eval_gkn's, also where
+    # the minimiser is the grid's end lambda = 1, which it is once t >= t_one
+    shape = ExperimentShape(k, n)
+    ev = build_evaluator(shape)
+    t_one = eval_gkn_deriv(ev, 1.0) / eval_gkn(ev, 1.0)
+    rng = np.random.default_rng(k + n)
+    ts = (t_one * np.concatenate((rng.uniform(0.2, 3.0, 24), [0.999, 1.001]))).tolist()
+    results = chernoff_exact_many(shape, ts)
+    assert {r.lambda_used == 1.0 for r in results} == {True, False}
+    for t, r in zip(ts, results):
+        assert r.log_value == log_eval_gkn(ev, r.lambda_used) - r.lambda_used * t
+        if r.lambda_used == 1.0:
+            assert r.log_value == lambda_one_bound(TailQuery(shape, t)).log_value
+    # the dual, the critical value's search, reaches lambda = 1 once
+    # -log alpha >= t_one - log G(1); at (30, 4) and (20, 5) it always does
+    edge = t_one - log_eval_gkn(ev, 1.0)
+    log_alphas = (-max(edge, 1.0) * rng.uniform(0.2, 3.0, 12)).tolist()
+    with np.errstate(divide="ignore"):
+        found = bounds._lambda_min(k, n, bounds._dual_objective, log_alphas)
+    assert {lam == 1.0 for _, lam in found} == ({True, False} if edge > 1.0 else {True})
+    for log_alpha, (t_star, lam) in zip(log_alphas, found):
+        assert t_star == (log_eval_gkn(ev, lam) - log_alpha) / lam
 
 
 def test_exact_many_chunks_give_the_same_bits(monkeypatch):

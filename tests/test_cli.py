@@ -263,6 +263,7 @@ def test_usage_errors_exit_one(capsys):
 def test_domain_errors_exit_one(capsys):
     assert run_cli(capsys, "bound", "--k", "0", "--n", "2", "--t", "5")[0] == 1
     assert run_cli(capsys, "bound", "--k", "2", "--n", "2", "--t", "-1")[0] == 1
+    assert run_cli(capsys, "critical", "--k", "1", "--n", "5", "--alpha", "0.05")[::2] == (1, "error: tail bounds require k >= 2\n")
     assert run_cli(capsys, "mc-tail", "--k", "2", "--n", "1", "--t", "0.1", "--p", "0.2,0.9")[0] == 1
     assert run_cli(capsys, "mc-tail", "--k", "3", "--n", "10", "--t", "1", "--p", "0.5,0.5,nan")[0] == 1
 

@@ -27,6 +27,11 @@ def test_query_validation():
         CriticalValueQuery(ExperimentShape(2, 2), 0.1, method="asymp_gamma")
     with pytest.raises(ValueError):
         CriticalValueQuery(ExperimentShape(2, 2), 0.1, method="unknown")
+    # the shape check of every tail bound, whatever the method
+    for shape, message in ((ExperimentShape(1, 5), "k >= 2"), (ExperimentShape(3, 0), "n >= 1")):
+        for method in ("exact", "types", "corrected"):
+            with pytest.raises(ValueError, match=f"tail bounds require {message}"):
+                critical_value(CriticalValueQuery(shape, 0.05, method))
 
 
 def test_types_inversion_closed_form():
