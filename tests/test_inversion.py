@@ -1,12 +1,15 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 import scipy.special
 
+from klchernoff import bounds
 from klchernoff.bounds import BOUND_METHODS, TailQuery, chernoff_exact, evaluate_bound
+from klchernoff.cli import main
 from klchernoff.data import FrequencyTable
-from klchernoff.gkn import ExperimentShape, build_evaluator, log_eval_gkn_grid
+from klchernoff.gkn import ExperimentShape, build_evaluator, log_eval_gkn, log_eval_gkn_grid
 from klchernoff.inversion import (
     CoordinateCI,
     CriticalValueQuery,
@@ -64,15 +67,55 @@ def test_round_trip_random_queries():
 
 @pytest.mark.parametrize("method", ["corrected", "uncorrected", "agrawal_limit", "lambda_one", "types", "mardia"])
 def test_plug_in_critical_values_are_conservative(method):
-    # the bisection accepts only a midpoint whose bound is at most alpha, and
+    # the secant solve accepts only a t whose bound is in the window, and
     # a factor method's log F - log alpha is stepped up until its bound is
+    # at most alpha; at desk-scale shapes, at butterfly-scale ones and at the
+    # extreme levels
     rng = np.random.default_rng(61)
-    for _ in range(30):
-        shape = ExperimentShape(int(rng.integers(2, 40)), int(rng.integers(1, 3000)))
-        alpha = float(10 ** rng.uniform(-8, -0.5))
+    cases = [
+        (ExperimentShape(int(rng.integers(2, 40)), int(rng.integers(1, 3000))), float(10 ** rng.uniform(-8, -0.5)))
+        for _ in range(30)
+    ]
+    cases += [
+        (ExperimentShape(int(rng.integers(2, 501)), int(rng.integers(1, 2101))), alpha)
+        for alpha in (1e-300, 1 - 1e-6, 0.05)
+        for _ in range(4)
+    ]
+    cases += [(ExperimentShape(436, 2029), alpha) for alpha in (1e-300, 1 - 1e-6)]
+    for shape, alpha in cases:
         t_star = critical_value(CriticalValueQuery(shape, alpha, method=method))
         achieved = evaluate_bound(method, TailQuery(shape, t_star)).value
-        assert alpha * (1 - 1e-9) <= achieved <= alpha
+        assert math.isfinite(t_star)
+        assert alpha * (1 - 1e-9) <= achieved <= alpha, (shape, alpha)
+
+
+def test_plug_in_bracket_holds_on_random_shapes():
+    # each plug-in bound is at least alpha just above k - 1 and at most alpha
+    # at log G(1) + 2(k - 1) - 2 log alpha, the ends the solve starts from
+    rng = np.random.default_rng(67)
+    for i in range(40):
+        shape = ExperimentShape(int(rng.integers(2, 501)), int(rng.integers(1, 2101)))
+        alpha = (1e-300, 1 - 1e-6)[i % 2] if i % 4 < 2 else float(10 ** rng.uniform(-12, -0.01))
+        hi = log_eval_gkn(build_evaluator(shape), 1.0) + 2.0 * (shape.k - 1) - 2.0 * math.log(alpha)
+        just_above = math.nextafter(shape.k - 1.0, math.inf)
+        for method in ("corrected", "uncorrected", "agrawal_limit"):
+            assert evaluate_bound(method, TailQuery(shape, just_above)).value >= alpha, (method, shape, alpha)
+            assert evaluate_bound(method, TailQuery(shape, hi)).value <= alpha, (method, shape, alpha)
+
+
+def test_plug_in_bracket_failure_is_a_value_error(monkeypatch, capsys):
+    query = CriticalValueQuery(ExperimentShape(6, 100), 0.05, method="corrected")
+    # a bound of 1 everywhere fails the upper end of the bracket
+    monkeypatch.setattr(bounds, "evaluate_bound", lambda method, q: bounds._make_result(method, 0.0))
+    with pytest.raises(ValueError, match="'corrected' at k=6, n=100, alpha=0.05: .*upper end"):
+        critical_value(query)
+    argv = ["critical", "--k", "6", "--n", "100", "--alpha", "0.05", "--method", "corrected"]
+    assert main(argv) == 1
+    assert "'corrected' at k=6, n=100" in capsys.readouterr().err
+    # a bound below the window everywhere fails the lower end: no t is accepted
+    monkeypatch.setattr(bounds, "evaluate_bound", lambda method, q: bounds._make_result(method, -50.0))
+    with pytest.raises(ValueError, match="'corrected' at k=6, n=100, alpha=0.05: no t"):
+        critical_value(query)
 
 
 def test_direct_inversion_round_trip_to_rounding():
@@ -277,3 +320,96 @@ def test_coverage_conservative_at_desk_scale():
 def test_coordinate_ci_fields():
     ci = CoordinateCI(coord=1, upper=0.4, t_used=2.0)
     assert ci.alpha is None
+
+
+def _decimal_kl(a, v):
+    """d(a, v) in decimal from the exact binary values of a and v, with 50
+    digits more than v has leading zeros, so 1 - v keeps v's own digits."""
+    a, v = Decimal(a), Decimal(v)
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, -v.adjusted())
+        one = Decimal(1)
+        if v == one:
+            return Decimal("Infinity")
+        out = (one - a) * ((one - a) / (one - v)).ln()
+        return out + a * (a / v).ln() if a else out
+
+
+def _decimal_ball_root(a, n, t):
+    """The root v of n d(a, v) = t in (a, 1), by bisection on log v in decimal,
+    independent of the float solver and of binary_kl."""
+    target = Decimal(t) / Decimal(n)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = Decimal(a).ln(), Decimal(0)
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            if _decimal_kl(a, mid.exp()) > target:
+                hi = mid
+            else:
+                lo = mid
+        return hi.exp()
+
+
+def _assert_tight_ball_edge(a, n, t, upper):
+    """upper is outside the ball by the true d, never below its edge, and
+    above it by at most 1e-12 of it."""
+    root = _decimal_ball_root(a, n, t)
+    assert Decimal(n) * _decimal_kl(a, upper) >= Decimal(t)
+    assert root <= Decimal(upper) <= root * (1 + Decimal("1e-12")), (a, n, t, upper, root)
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-9, 1 / 2029])
+@pytest.mark.parametrize("n, t", [(2029, 481.2), (2029, 0.01), (10**9, 3.0), (10**12 + 1, 5.74386451836333)])
+def test_coord_upper_is_tight_relative_to_the_root(a, n, t):
+    # bisection to a 1e-12 absolute width left small coordinates loose: at
+    # a = 1e-12, n = 10^12 + 1 the bound was 2.8% above the root
+    ci = coord_upper_bound(ProbVector((1.0 - a, a)), ExperimentShape(2, n), 2, t)
+    _assert_tight_ball_edge(a, n, t, ci.upper)
+
+
+def test_ci_coord_small_coordinate_matches_the_decimal_root():
+    # ci-coord --counts 1000000000000,1 --coord 2 --alpha 0.05, at the t(0.05)
+    # it prints: the root is 8.9337e-12, and the bisection printed 9.18545231594717e-12
+    n = 10**12 + 1
+    phat = ProbVector((10**12 / n, 1 / n))
+    ci = coord_upper_bound(phat, ExperimentShape(2, n), 2, 5.74386451836333)
+    assert ci.upper == pytest.approx(8.9337e-12, rel=1e-4)
+    _assert_tight_ball_edge(1 / n, n, 5.74386451836333, ci.upper)
+
+
+@pytest.mark.parametrize(
+    "a, n, t",
+    [
+        (0.4, 10, 1e-300),  # the bisection returned a + 9.1e-13
+        (0.6, 3, 1e-300),
+        (1 - 1e-12, 10, 1e-13),
+        (1 - 1e-12, 1, 1e-12),
+        (0.3, 10, 1e-6),
+        (0.9, 3, 1.1),
+    ],
+)
+def test_coord_upper_edge_cases_are_tight(a, n, t):
+    ci = coord_upper_bound(ProbVector((a, 1.0 - a)), ExperimentShape(2, n), 1, t)
+    assert a < ci.upper <= 1.0
+    _assert_tight_ball_edge(a, n, t, ci.upper)
+
+
+@pytest.mark.parametrize("a, n, t", [(0.4, 10, 1e300), (1 - 1e-12, 10, 1.0), (0.5, 1, 40.0), (0.0, 1, 800.0)])
+def test_coord_upper_is_one_when_the_ball_reaches_past_every_float_below_one(a, n, t):
+    ci = coord_upper_bound(ProbVector((a, 1.0 - a)), ExperimentShape(2, n), 1, t)
+    assert ci.upper == 1.0
+    assert n * binary_kl(a, math.nextafter(1.0, 0.0)) <= t
+
+
+@pytest.mark.parametrize("n, t", [(10, 1.0), (2029, 481.2), (10**12, 3.0), (7, 1e-300), (3, 30.0)])
+def test_coord_upper_at_zero_is_the_closed_form(n, t):
+    ci = coord_upper_bound(ProbVector((0.0, 1.0)), ExperimentShape(2, n), 1, t)
+    closed = -math.expm1(-t / n)
+    assert closed <= ci.upper <= closed * (1 + 1e-12)
+    assert Decimal(n) * _decimal_kl(0.0, ci.upper) >= Decimal(t)
+
+
+def test_coord_upper_rejects_a_level_below_float_resolution():
+    with pytest.raises(ValueError, match="below the least normal float"):
+        coord_upper_bound(ProbVector((0.5, 0.5)), ExperimentShape(2, 10**6), 1, 1e-305)
