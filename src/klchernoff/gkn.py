@@ -16,15 +16,20 @@ the first index whose geometric tail bound at lambda = 1 falls to 2^-60, and
 the same test marks a shorter prefix at each of the eight knots
 lambda_j = j/8: an evaluation at lambda sums only the prefix of the first knot
 lambda_j >= lambda and adds that knot's certified tail back, so log G is
-rounded up, never down.  The walk runs in blocks of doubling length and stops
-at the first block end past the lambda = 1 cut, so it touches at most about
-twice the kept table, not all n ratios.  The public lambda grid is reduced in
+rounded up, never down.  Where a knot's prefix is at least four times the one
+below it, as on (7/8, 1] at (2, 10^6) (327 -> 9,602 terms), the evaluator
+also keeps "rungs", prefixes of 2, 4, 8, ... times the lower knot's; a
+single log G sums the first rung whose tail bound, taken at lambda itself,
+is at most 2^-60, and adds that bound.  The walk runs in blocks of doubling
+length and stops at the first block end past the lambda = 1 cut, so it
+touches at most about twice the kept table, not all n ratios.  The public lambda grid is reduced in
 one work buffer per call and still sums each column in sequence, where the
 scalar path sums pairwise; the two agree to within the rounding of S, not bit
 for bit, so a lambda search uses the grid only to locate basins.  The steps
 of many searches at once are summed one row a point, each row pairwise, and
 a batch of one is the scalar call itself (:func:`_log_eval_points`): every
-log G a search returns is :func:`log_eval_gkn`'s pairwise sum.
+log G a search returns is :func:`log_eval_gkn`'s pairwise sum, over the same
+rung or knot prefix.  The grid keeps the knot prefixes alone.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -94,11 +99,23 @@ class GknEvaluator:
     coefficients and ``tail = 0``.  For the degenerate shapes (k = 1 or
     n = 0) the polynomial is the constant 1 and a single zero
     log-coefficient is stored.  Evaluators compare and hash by identity.
+
+    ``rungs[j]`` holds the rungs of the knot interval (lambda_{j-1}, lambda_j]:
+    pairs (K, log r_K) for K = 2 kept_{j-1}, 4 kept_{j-1}, ... up to
+    kept_j / 2, with r_K = c_{K+1}/c_K taken from the walk.  A rung is tried
+    at lambda itself: if c_K lambda^K / (1 - r_K lambda), with c_K read from
+    ``log_coeffs``, is at most 2^-60, the terms from K on sum to at most that,
+    and log G sums ``log_coeffs[:K]`` alone.  Only intervals whose prefix at
+    least quadruples have rungs: 654, 1,308 and 2,616 on (7/8, 1] at
+    (2, 10^6), and 3,710 on (7/8, 1] at (50, 10^5); at (6, 100) and
+    (436, 2029) every ``rungs[j]`` is empty.  The rungs copy no coefficient,
+    so an evaluator with an edited table needs no other change.
     """
 
     shape: ExperimentShape
     log_coeffs: np.ndarray
     cuts: tuple[tuple[int, float], ...]
+    rungs: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
     def tail(self) -> float:
@@ -180,17 +197,27 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
     holds; the test is false up to the peak and true after it, so the cuts
     bisected inside that prefix are those of the whole table.  (2, 10^6)
     walks 15,360 ratios, not 10^6; shapes that keep every term walk to n.
+
+    Inside a knot interval whose prefix grows from kept_{j-1} to kept_j >=
+    4 kept_{j-1}, the rungs K = 2^i kept_{j-1} <= kept_j / 2, i >= 1, are
+    stored with the walk's log r_K (see :class:`GknEvaluator`).
     """
     k, n = shape.k, shape.n
     if k == 1 or n == 0:
         log_coeffs = np.zeros(1)
         cuts = [(1, 0.0)] * len(_KNOTS)
+        rungs = [()] * len(_KNOTS)
     else:
         log_coeffs, log_ratio = _walk(k, n)
         cuts = [_cut(log_coeffs, log_ratio, math.log(knot)) for knot in _KNOTS]
+        # (0, 1/8] has no lower knot to double
+        rungs = [()] + [
+            tuple((lo << i, float(log_ratio[lo << i])) for i in range(1, 64) if lo << (i + 1) <= hi)
+            for (lo, _), (hi, _) in zip(cuts, cuts[1:])
+        ]
         log_coeffs = log_coeffs[: cuts[-1][0]].copy()
     log_coeffs.flags.writeable = False
-    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, cuts=tuple(cuts))
+    return GknEvaluator(shape=shape, log_coeffs=log_coeffs, cuts=tuple(cuts), rungs=tuple(rungs))
 
 
 def _check_unit_interval(lam: float) -> None:
@@ -209,22 +236,43 @@ def logsumexp(terms: np.ndarray, out: np.ndarray | None = None, axis: int = 0):
     return peak + np.log(np.exp(shifted, out=shifted).sum(axis=axis))
 
 
+def _prefix(ev: GknEvaluator, lam: float) -> tuple[int, float]:
+    """(K, tail): the prefix a log G at ``lam`` in (0, 1] sums, and the bound
+    on the terms c_i lam^i, i >= K, that it adds back.
+
+    K is the first rung of the knot interval holding ``lam`` whose tail bound
+    at ``lam`` is at most 2^-60, and that bound; else the knot's cut,
+    (kept_j, tail_j * (lam/lambda_j)**kept_j).
+    """
+    j = bisect.bisect_left(_KNOTS, lam)
+    for rung, log_r in ev.rungs[j]:
+        log_tail = _log_tail(float(ev.log_coeffs[rung]), log_r, rung, math.log(lam))
+        if log_tail <= _LOG_TAIL_MASS:
+            return rung, math.exp(log_tail)
+    kept, tail = ev.cuts[j]
+    return kept, tail * (lam / _KNOTS[j]) ** kept
+
+
 def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
     """Natural log of the polynomial at ``lam`` in [0, 1] (log-sum-exp).
 
-    With lambda_j the first knot >= ``lam`` and (kept_j, tail_j) its cut,
-    returns ``log S + tail_j * (lam/lambda_j)**kept_j``, where S sums the
-    first kept_j terms.  The dropped terms add at most that much to S >= 1,
-    so the result is never below the exact log G (up to the rounding of S).
-    On (7/8, 1] this is the whole table plus ``tail * lam**(M+1)``.
+    Returns ``log S + tail``, where S sums the first K terms and (K, tail) is
+    the prefix of :func:`_prefix`: the first rung of the knot interval
+    holding ``lam`` whose tail bound, certified at ``lam`` itself, is at most
+    2^-60, else the cut (kept_j, tail_j) of the first knot lambda_j >=
+    ``lam`` with ``tail = tail_j * (lam/lambda_j)**kept_j``.  The dropped
+    terms add at most ``tail`` to S >= 1, so the result is never below the
+    exact log G (up to the rounding of S).  At (2, 10^6), lambda in
+    (7/8, 1] sums 654, 1,308 or 2,616 terms where its rung passes, and the
+    whole table of 9,602 plus ``tail * lam**9602`` where none does, as at
+    lambda = 1.
     """
     _check_unit_interval(lam)
     if lam == 0.0 or ev.log_coeffs.size == 1:
         return 0.0
-    j = bisect.bisect_left(_KNOTS, lam)
-    kept, tail = ev.cuts[j]
+    kept, tail = _prefix(ev, lam)
     m = np.arange(kept, dtype=float)
-    return float(logsumexp(ev.log_coeffs[:kept] + m * math.log(lam))) + tail * (lam / _KNOTS[j]) ** kept
+    return float(logsumexp(ev.log_coeffs[:kept] + m * math.log(lam))) + tail
 
 
 def eval_gkn(ev: GknEvaluator, lam: float) -> float:
@@ -279,36 +327,40 @@ def _log_eval_points(ev: GknEvaluator, lams: list[float]) -> list[float]:
     :func:`log_eval_gkn` itself, whose one pairwise sum costs fewer NumPy
     calls than a buffer of one row.
 
-    Points are grouped by the prefix length kept_j of their knots, so knots
-    that keep the same prefix share a group.  Each group is summed in one work
-    buffer of ``(points, kept_j)`` terms, one row a point, at most
-    ``_POINT_ENTRIES`` terms at a time, and reduced along the contiguous
-    axis: NumPy sums each row pairwise, as it sums the 1-d prefix of the
-    scalar path.  The log of each point and the tail term of its own knot are
-    taken with ``math.log`` and float ``**``, point by point, as there;
-    NumPy's vector log and power can differ from them in the last bit.
+    Each point takes its prefix K and tail from :func:`_prefix`, as there: a
+    rung whose tail is certified at the point itself, else its knot's cut.
+    Points are grouped by K, so knots and rungs that keep the same prefix
+    share a group.  Each group is summed in one work buffer per call, as
+    ``(points, K)`` terms, one row a point, at most ``_POINT_ENTRIES`` terms
+    at a time, and reduced along the contiguous axis: NumPy sums each row
+    pairwise, as it sums the 1-d prefix of the scalar path.  The log of each
+    point and its tail are taken with ``math.log``, ``math.exp`` and float
+    ``**``, point by point, as there; NumPy's vector log and power can differ
+    from them in the last bit.  Until its sum is added, each point's slot of
+    the output holds its tail, so the batch keeps no other per-point record
+    than the index lists of its groups.
     """
     if len(lams) == 1:
         return [log_eval_gkn(ev, lams[0])]
     out = [0.0] * len(lams)
     if ev.log_coeffs.size == 1:
         return out
-    knot_of = [bisect.bisect_left(_KNOTS, lam) for lam in lams]
     groups: dict[int, list[int]] = {}
-    for i, (lam, j) in enumerate(zip(lams, knot_of)):
+    for i, lam in enumerate(lams):
         if lam > 0.0:
-            groups.setdefault(ev.cuts[j][0], []).append(i)
+            kept, out[i] = _prefix(ev, lam)
+            groups.setdefault(kept, []).append(i)
+    rows = {kept: max(1, _POINT_ENTRIES // kept) for kept in groups}
+    work = np.empty(max((min(rows[kept], len(group)) * kept for kept, group in groups.items()), default=0))
     for kept, group in groups.items():
         m = np.arange(kept, dtype=float)
-        rows = max(1, _POINT_ENTRIES // kept)
-        work = np.empty((min(rows, len(group)), kept))
-        for start in range(0, len(group), rows):
-            idx = group[start : start + rows]
-            terms = np.multiply.outer([math.log(lams[i]) for i in idx], m, out=work[: len(idx)])
+        for start in range(0, len(group), rows[kept]):
+            idx = group[start : start + rows[kept]]
+            block = work[: len(idx) * kept].reshape(len(idx), kept)
+            terms = np.multiply.outer([math.log(lams[i]) for i in idx], m, out=block)
             terms += ev.log_coeffs[:kept]
             for i, log_s in zip(idx, logsumexp(terms, out=terms, axis=-1).tolist()):
-                j = knot_of[i]
-                out[i] = log_s + ev.cuts[j][1] * (lams[i] / _KNOTS[j]) ** kept
+                out[i] = log_s + out[i]
     return out
 
 

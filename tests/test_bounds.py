@@ -343,6 +343,29 @@ def test_search_returns_the_scalar_log_g_at_the_lambda_it_found(k, n):
         assert t_star == (log_eval_gkn(ev, lam) - log_alpha) / lam
 
 
+@pytest.mark.parametrize("k,n", SEARCH_SHAPES + [(30, 4)])
+def test_values_at_lambda_one_are_the_scalar_sum_bit_for_bit(k, n):
+    # log G(1) is a cached shape constant; every bound that takes lambda = 1
+    # is still log_eval_gkn(ev, 1.0) - t, bit for bit, from a cold cache and
+    # a warm one
+    shape = ExperimentShape(k, n)
+    ev = build_evaluator(shape)
+    log_g_one = log_eval_gkn(ev, 1.0)
+    # past t_one the exact minimiser is lambda = 1; far enough past it the
+    # corrected lambda is clamped at 1 as well
+    t = 2.0 * eval_gkn_deriv(ev, 1.0) / eval_gkn(ev, 1.0) + k
+    while chernoff_corrected(TailQuery(shape, t)).lambda_used < 1.0:
+        t *= 2.0
+    for cold in (True, False):
+        if cold:
+            bounds._log_g_one.cache_clear()
+        query = TailQuery(shape, t)
+        for result in (lambda_one_bound(query), chernoff_corrected(query), chernoff_exact(query)):
+            assert result.lambda_used == 1.0
+            assert result.log_value == log_g_one - t
+    assert meaningful_threshold(shape) == min(log_g_one, k - 1.0)
+
+
 def test_exact_many_chunks_give_the_same_bits(monkeypatch):
     shape = ExperimentShape(31, 93)
     ts = np.linspace(0.5, 90.0, 26).tolist()

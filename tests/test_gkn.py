@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -278,6 +279,128 @@ def test_point_kernel_splits_large_groups_bit_for_bit(monkeypatch):
     assert gkn._log_eval_points(ev, lams) == [log_eval_gkn(ev, lam) for lam in lams]
 
 
+# The rungs of each shape that has any, by knot interval: the prefix at least
+# quadruples only on (7/8, 1], from kept_6 to the lambda = 1 cut.
+RUNGS = {
+    (2, 10**6): {7: [654, 1308, 2616]},
+    (50, 10**5): {7: [3710]},
+    (2, 10**8): {7: [656, 1312, 2624, 5248, 10496, 20992, 41984]},
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(RUNGS))
+def test_rungs_double_the_lower_knot_up_to_half_the_upper(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    assert {j: [rung for rung, _ in rungs] for j, rungs in enumerate(ev.rungs) if rungs} == RUNGS[k, n]
+    prefixes = [kept for kept, _ in ev.cuts]
+    full_ratio = _full_log_ratio(k, n) if n <= 10**6 else None
+    for j, rungs in enumerate(ev.rungs):
+        for i, (rung, log_r) in enumerate(rungs, start=1):
+            assert rung == 2**i * prefixes[j - 1] and 2 * rung <= prefixes[j]
+            if full_ratio is not None:
+                assert log_r == full_ratio[rung]
+
+
+@pytest.mark.parametrize("k,n", [(6, 100), (436, 2029), (106, 2016), (31, 93), (2, 1), (1, 5), (4, 0)])
+def test_shapes_whose_prefixes_do_not_quadruple_have_no_rungs(k, n):
+    assert build_evaluator(ExperimentShape(k, n)).rungs == ((),) * len(KNOTS)
+
+
+def _rung_lambdas(rng, j):
+    """Random lambdas in the knot interval (lambda_{j-1}, lambda_j] and its
+    two ends."""
+    lo, hi = KNOTS[j - 1], KNOTS[j]
+    return [math.nextafter(lo, 1.0), hi] + rng.uniform(lo, hi, 200).tolist()
+
+
+def _tail_test(ev, rung, log_r, lam):
+    return gkn._log_tail(float(ev.log_coeffs[rung]), log_r, rung, math.log(lam))
+
+
+@pytest.mark.parametrize("k,n", sorted(RUNGS))
+def test_rung_tail_is_certified_at_lambda(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    rng = np.random.default_rng(k + n)
+    chosen = set()
+    for j in RUNGS[k, n]:
+        rungs, (kept_j, tail_j) = ev.rungs[j], ev.cuts[j]
+        for lam in _rung_lambdas(rng, j):
+            # a shorter sum plus its tail is never below the whole kept_j sum,
+            # up to rounding
+            full = float(scipy.special.logsumexp(ev.log_coeffs[:kept_j] + np.arange(kept_j) * math.log(lam)))
+            assert log_eval_gkn(ev, lam) >= full - 4 * math.ulp(full)
+            kept, tail = gkn._prefix(ev, lam)
+            passing = [rung for rung, log_r in rungs if _tail_test(ev, rung, log_r, lam) <= math.log(2.0**-60)]
+            if kept == kept_j:
+                # no rung passes: the knot's cut, as without rungs
+                assert passing == []
+                assert tail == tail_j * (lam / KNOTS[j]) ** kept
+                continue
+            chosen.add(kept)
+            # the first rung that passes the test at lam itself; the rung
+            # below it fails there
+            i = [rung for rung, _ in rungs].index(kept)
+            assert passing and passing[0] == kept
+            if i > 0:
+                assert _tail_test(ev, *rungs[i - 1], lam) > math.log(2.0**-60)
+            assert tail == math.exp(_tail_test(ev, *rungs[i], lam)) <= 2.0**-60
+            # the tail bounds the terms the rung drops: the rest of the table,
+            # and past it the table's own tail at lam
+            m = np.arange(kept, ev.log_coeffs.size, dtype=float)
+            beyond = ev.tail * lam**ev.log_coeffs.size
+            assert math.fsum(np.exp(ev.log_coeffs[kept:] + m * math.log(lam))) + beyond <= tail
+    # every rung serves some lambda
+    assert chosen == {rung for j in RUNGS[k, n] for rung, _ in ev.rungs[j]}
+
+
+def _rung_edges(ev, j):
+    """For each rung of knot interval j, the last float lambda it serves and
+    the next float, which the next rung or the knot's cut serves."""
+    edges = []
+    for rung, _ in ev.rungs[j]:
+        lo, hi = KNOTS[j - 1], KNOTS[j]  # served at lo+, not at hi
+        while math.nextafter(lo, 1.0) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gkn._prefix(ev, mid)[0] <= rung else (lo, mid)
+        edges.append((lo, hi))
+    return edges
+
+
+@pytest.mark.parametrize("k,n", sorted(RUNGS))
+def test_point_kernel_matches_scalar_across_rung_edges(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = []
+    for j in RUNGS[k, n]:
+        edges = _rung_edges(ev, j)
+        for (below, above), (rung, _) in zip(edges, ev.rungs[j]):
+            assert math.nextafter(below, 1.0) == above
+            assert gkn._prefix(ev, below)[0] == rung < gkn._prefix(ev, above)[0]
+            lams += [math.nextafter(below, 0.0), below, above, math.nextafter(above, 1.0)]
+    lams += np.random.default_rng(n).uniform(0.8, 1.0, 50).tolist()
+    scalar = [log_eval_gkn(ev, lam) for lam in lams]
+    assert gkn._log_eval_points(ev, lams) == scalar
+    assert gkn._log_eval_points(ev, lams[::-1]) == scalar[::-1]
+
+
+# sha256 of the float.hex of log_eval_gkn at 2,000 random lambdas, seeded by
+# k * n, as the knot prefixes alone gave them: the shapes without rungs keep
+# their bits
+NO_RUNG_PINS = {
+    (6, 100): "a336c449e3884863001201263ced29972b41babaf75a2dea3bd5be7f42e528b7",
+    (436, 2029): "90f6b89cf0c479de98c19a3b62125aaf85c96f7b5b978f6de4ec5433c9b0c6b4",
+    (106, 2016): "51dac6e52573a972543112f3095d24c70dfd9b885b78ee8f943f38b94465af94",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(NO_RUNG_PINS))
+def test_shapes_without_rungs_keep_their_bits(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = np.random.default_rng(k * n).uniform(0.0, 1.0, 2000).tolist()
+    scalar = [log_eval_gkn(ev, lam) for lam in lams]
+    assert gkn._log_eval_points(ev, lams) == scalar
+    assert hashlib.sha256("\n".join(v.hex() for v in scalar).encode()).hexdigest() == NO_RUNG_PINS[k, n]
+
+
 def _gamma_mixture_log_g(k, n, lam):
     """log G_{k,n}(lam) from G = E (1 + lam U / n)^n, U ~ Gamma(k - 1, 1).
 
@@ -338,6 +461,17 @@ def test_point_kernel_memory_is_bounded_in_the_batch():
     ev = build_evaluator(ExperimentShape(50, 10**5))
     assert ev.cuts[3][0] == 246
     lams = np.linspace(0.376, 0.5, 10**5).tolist()
+    assert _traced_peak_mib(lambda: gkn._log_eval_points(ev, lams)) < 18.0
+
+
+def test_point_kernel_memory_is_bounded_across_rung_groups():
+    # 10^5 points in (7/8, 1) at (2, 10^6) fall in four groups, the rungs of
+    # 654, 1,308 and 2,616 terms and the whole 9,602-term table; they share
+    # one 8 MiB buffer, and the output list holds each point's tail until its
+    # sum is added
+    ev = build_evaluator(ExperimentShape(2, 10**6))
+    lams = np.linspace(0.876, 0.999, 10**5).tolist()
+    assert {gkn._prefix(ev, lam)[0] for lam in lams} == {654, 1308, 2616, 9602}
     assert _traced_peak_mib(lambda: gkn._log_eval_points(ev, lams)) < 18.0
 
 
