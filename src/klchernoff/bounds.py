@@ -35,7 +35,8 @@ corrected      closed-form plug-in lambda with the first-order 1/n correction
 uncorrected    closed-form plug-in lambda = 1 - (k-1)/t
 lambda_one     G(1) exp(-t), the combinatorial-factor form
 types          C(n+k-1, k-1) exp(-t), the type-counting bound
-mardia         C_M(k, n) exp(-t) with the improved combinatorial factor
+mardia         C_M(k, n) exp(-t) with the improved combinatorial factor;
+               NOT an upper bound where n is about k or smaller
 agrawal_limit  Chernoff bound built from the large-n limit (1-lambda)^-(k-1)
 asymp_gamma    gamma tail of the limiting distribution; reference only,
                NOT guaranteed to be a valid bound
@@ -357,7 +358,13 @@ def types_bound(q: TailQuery) -> BoundResult:
 
 
 def mardia_bound(q: TailQuery) -> BoundResult:
-    """Comparison bound C_M(k, n) exp(-t) built from the factor alone."""
+    """Comparison bound C_M(k, n) exp(-t) built from the factor alone.
+
+    Not an upper bound on the tail where n is about k or smaller, and not
+    fenced there: at (30, 4) with uniform p the exact tail at t = 7.957 is
+    0.99999..., while this gives 0.0766, and its critical value at
+    alpha = 0.05, 8.38352353405197, has a true tail of 0.188.
+    """
     return _factor_form("mardia", q)
 
 

@@ -271,8 +271,10 @@ def log_eval_gkn(ev: GknEvaluator, lam: float) -> float:
     if lam == 0.0 or ev.log_coeffs.size == 1:
         return 0.0
     kept, tail = _prefix(ev, lam)
-    m = np.arange(kept, dtype=float)
-    return float(logsumexp(ev.log_coeffs[:kept] + m * math.log(lam))) + tail
+    terms = np.arange(kept, dtype=float)
+    terms *= math.log(lam)
+    terms += ev.log_coeffs[:kept]
+    return float(logsumexp(terms, out=terms)) + tail
 
 
 def eval_gkn(ev: GknEvaluator, lam: float) -> float:

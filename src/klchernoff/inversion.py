@@ -6,12 +6,14 @@ simplex coordinate via the divergence-ball confidence region
 level through :func:`klchernoff.bounds.critical_value`.
 
 In one coordinate the ball's edge is the root v* of n d(a, v) = t above the
-coordinate's empirical value a, with d the binary relative entropy.
-:func:`_ball_upper` solves it directly: d(a, .) is convex and increasing on
-(a, 1), so Newton steps from outside the ball and two lines from the left
-bracket v*, and the solve stops once that bracket is within a quarter of
-``KL_ROOT_TOL`` relative to the root, in 2-7 evaluations of d.  The bound
-it returns is never below v* and at most KL_ROOT_TOL/2 of v* above it.
+coordinate's empirical value a, with d the binary relative entropy of
+:func:`binary_kl`.  :func:`_ball_upper` solves it directly: d(a, .) is
+convex and increasing on (a, 1), so Newton steps from outside the ball and
+two lines from the left bracket v*, and the solve stops once that bracket
+is within a quarter of ``KL_ROOT_TOL`` relative to the root, in 2-7
+evaluations of d.  The bound it returns is never below v*, at most
+KL_ROOT_TOL/2 of v* above it, and outside the ball by :func:`binary_kl`,
+which a caller can re-check.
 """
 
 from __future__ import annotations
@@ -42,25 +44,19 @@ class CoordinateCI:
 
 
 def binary_kl(a: float, v: float) -> float:
-    """Relative entropy of Bernoulli(a) from Bernoulli(v), in nats."""
+    """Relative entropy d(a, v) of Bernoulli(a) from Bernoulli(v), in nats.
+
+    For a, v < 1 the second term is (1 - a) log1p((v - a)/(1 - v)), accurate
+    relative to v - a, and the sum is clamped at 0, which its rounding can
+    cross a few ulp apart.  The ball solver reads this d, so its answers
+    re-check with it.
+    """
     if not 0.0 <= a <= 1.0 or not 0.0 <= v <= 1.0:
         raise ValueError("arguments must lie in [0, 1]")
     a, v = float(a), float(v)
-    return rel_entr(a, v) + rel_entr(1.0 - a, 1.0 - v)
-
-
-def _ball_kl(a: float, v: float) -> float:
-    """d(a, v) for 0 <= a < 1 and a <= v <= 1, accurate relative to v - a.
-
-    :func:`binary_kl` takes log((1 - a)/(1 - v)) from the rounded complements,
-    whose difference is off by up to 1.1e-16: the whole of d where v - a is
-    tiny.  Its ball edge at a = 1e-12, n = 10^12, t = 3 lies 3.3e-6 below the
-    true root.  Here that log is log1p((v - a)/(1 - v)), so the edge is
-    resolved to rounding.
-    """
-    if v >= 1.0:
-        return math.inf
-    return rel_entr(a, v) + (1.0 - a) * math.log1p((v - a) / (1.0 - v))
+    if a == 1.0 or v == 1.0:
+        return rel_entr(a, v) + rel_entr(1.0 - a, 1.0 - v)
+    return max(rel_entr(a, v) + (1.0 - a) * math.log1p((v - a) / (1.0 - v)), 0.0)
 
 
 def _above(v: float) -> float:
@@ -82,11 +78,10 @@ def _ball_upper(a: float, n: int, t: float) -> float:
     the slope at lo.  A point inside the ball, from the start or from
     rounding, becomes lo, and the next point is at least a quarter of
     ``KL_ROOT_TOL`` above it.  At hi <= lo (1 + KL_ROOT_TOL/4) the solve stops
-    and returns hi raised by another quarter, checked outside the ball: upper
-    exceeds v* by a quarter to a half of ``KL_ROOT_TOL``, relative, a
-    clearance that also puts it outside the ball by :func:`binary_kl`
-    wherever that function's rounding of 1 - a and 1 - v is below it
-    (v* - a above ~1e-4).
+    and returns hi raised by another quarter, checked outside the ball by
+    :func:`binary_kl`: upper exceeds v* by a quarter to a half of
+    ``KL_ROOT_TOL``, relative, a clearance that keeps the rounding of d from
+    putting it back inside.
     """
     c = t / n
     neg_entropy = rel_entr(a, 1.0) + (1.0 - a) * math.log1p(-a)
@@ -98,7 +93,7 @@ def _ball_upper(a: float, n: int, t: float) -> float:
     )
     lo, hi = a, 1.0
     while True:
-        d = _ball_kl(a, x)
+        d = binary_kl(a, x)
         if n * d > t:
             hi = x
             lo = max(lo, a + (hi - a) * (c / d))
@@ -111,7 +106,7 @@ def _ball_upper(a: float, n: int, t: float) -> float:
         x = x - (d - c) * (x * (1.0 - x) / (x - a)) if x > a else lo
         x = max(min(x, math.nextafter(hi, 0.0)), _above(lo))
     upper = min(_above(hi), 1.0)
-    while not n * _ball_kl(a, upper) > t:
+    while not n * binary_kl(a, upper) > t:
         upper = math.nextafter(upper, 1.0)
     return upper
 
@@ -128,8 +123,9 @@ def coord_upper_bound(
     the binary relative entropy d(phat_coord, v) <= t / n.  The answer is the
     root v* of n * d(phat_coord, v) = t on [phat_coord, 1], solved by
     :func:`_ball_upper` to ``KL_ROOT_TOL`` relative to the root: it is never
-    below v*, exceeds it by at most 1e-12 of v*, and has n * d > t checked
-    there.  Degenerate phat_coord = 1 returns 1.
+    below v*, exceeds it by at most 1e-12 of v*, and n * binary_kl(phat_coord,
+    upper) > t holds there unless upper is 1, which a caller can re-check.
+    Degenerate phat_coord = 1 returns 1.
     """
     if not t > 0.0:
         raise ValueError(f"deviation level t must be positive, got {t}")
@@ -155,7 +151,8 @@ def unseen_upper_bound(table: FrequencyTable, alpha: float) -> CoordinateCI:
     alphabet, inverts the exact bound at level alpha, and takes the unseen
     coordinate's edge of the resulting divergence ball: with phat = 0 there
     the root is -expm1(-t/n) in closed form, which :func:`_ball_upper` starts
-    from, so only the ball's tolerance is added to it.
+    from, so only the ball's tolerance is added to it.  As for
+    :func:`coord_upper_bound`, n * binary_kl(0, upper) > t re-checks it.
     """
     shape = ExperimentShape(table.k_observed + 1, table.n)
     t = critical_value(CriticalValueQuery(shape=shape, alpha=alpha, method="exact"))

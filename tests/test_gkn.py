@@ -485,6 +485,15 @@ def test_build_and_grid_allocate_no_table_sized_temporaries():
     assert _traced_peak_mib(lambda: log_eval_gkn_grid(ev, lams)) < 1.5
 
 
+def test_scalar_log_g_makes_one_prefix_sized_array():
+    # at lambda = 1 the prefix is the whole kept table, ~1.0 million terms
+    # (7.7 MiB); three temporaries of that size took 23.1 MiB
+    ev = build_evaluator(ExperimentShape(2, 10**10))
+    kept, _ = gkn._prefix(ev, 1.0)
+    assert kept > 10**6
+    assert _traced_peak_mib(lambda: log_eval_gkn(ev, 1.0)) <= 1.5 * kept * 8 / 2**20
+
+
 def test_derivative_examples():
     ev = build_evaluator(ExperimentShape(2, 2))
     assert eval_gkn_deriv(ev, 0.0) == pytest.approx(1.0, rel=1e-12)

@@ -3,7 +3,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-import scipy.special
 
 from klchernoff import bounds
 from klchernoff.bounds import BOUND_METHODS, TailQuery, chernoff_exact, evaluate_bound
@@ -204,14 +203,48 @@ def test_binary_kl():
         binary_kl(-0.1, 0.5)
 
 
-def test_binary_kl_matches_scipy_rel_entr():
-    # equal to rounding, +inf cases included; plain x log(x/y) is off by
-    # 1e-7 relative at (0, 1e-9)
+def test_binary_kl_matches_the_decimal_reference():
+    # equal to rounding, +inf cases included.  SciPy's rel_entr(a, v) +
+    # rel_entr(1 - a, 1 - v) is 2.8e-8 off at (0, 1e-9) and 4.2e-11 off at
+    # (1e-9, 1e-300), from the rounded complements
     grid = (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0)
     for a in grid:
         for v in grid:
-            ref = float(scipy.special.rel_entr(a, v) + scipy.special.rel_entr(1.0 - a, 1.0 - v))
+            ref = float(_decimal_kl(a, v, digits=100))
             assert binary_kl(a, v) == pytest.approx(ref, rel=1e-15, abs=0.0), (a, v)
+
+
+def test_binary_kl_is_accurate_relative_to_the_separation():
+    # the complement form was negative at 165 of 1,000 inputs with
+    # |v - a| <= 1e-9 and 26% off at some v < a
+    rng = np.random.default_rng(71)
+    cases = 0
+    for i in range(5000):
+        a = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1e-12)), 1.0 - float(rng.uniform(0.0, 1e-12)))[i % 3]
+        step = 10.0 ** float(rng.uniform(-12.0, -0.3))
+        v = a + step if rng.integers(2) else a - step
+        if not 0.0 < v < 1.0:
+            v = 2.0 * a - v
+        if not 0.0 < v < 1.0 or not 0.0 < a < 1.0:
+            continue
+        cases += 1
+        d = binary_kl(a, v)
+        ref = _decimal_kl(a, v, digits=100)
+        assert d >= 0.0, (a, v)
+        assert abs(Decimal(d) - ref) <= ref * Decimal(1e-15 / abs(v - a)), (a, v, d, ref)
+    assert cases > 4900
+
+
+def test_binary_kl_is_never_negative_a_few_ulp_apart():
+    # the complement form goes negative here, and so does the log1p form
+    # unclamped (39 of 1,500 one-ulp separations)
+    rng = np.random.default_rng(73)
+    for i in range(6000):
+        a = float(rng.uniform(0.0, 1.0))
+        v = a
+        for _ in range(i % 4 + 1):
+            v = math.nextafter(v, 1.0 if i % 8 < 4 else 0.0)
+        assert binary_kl(a, v) >= 0.0, (a, v)
 
 
 def test_coord_upper_closed_form_for_unseen():
@@ -306,8 +339,10 @@ def test_unseen_single_observation():
 
 def test_unseen_shrinks_as_alpha_grows():
     table = FrequencyTable.from_counts([3, 2, 4, 1])
-    uppers = [unseen_upper_bound(table, a).upper for a in (0.01, 0.1, 0.5, 0.9)]
-    assert all(b < a for a, b in zip(uppers, uppers[1:]))
+    cis = [unseen_upper_bound(table, a) for a in (0.01, 0.1, 0.5, 0.9)]
+    assert all(b.upper < a.upper for a, b in zip(cis, cis[1:]))
+    # each answer re-checks outside the ball with the public binary_kl
+    assert all(table.n * binary_kl(0.0, ci.upper) > ci.t_used for ci in cis)
 
 
 def test_coverage_conservative_at_desk_scale():
@@ -322,16 +357,17 @@ def test_coordinate_ci_fields():
     assert ci.alpha is None
 
 
-def _decimal_kl(a, v):
-    """d(a, v) in decimal from the exact binary values of a and v, with 50
-    digits more than v has leading zeros, so 1 - v keeps v's own digits."""
+def _decimal_kl(a, v, digits=50):
+    """d(a, v) in decimal from the exact binary values of a and v, with
+    ``digits`` more than the smaller of a and v has leading zeros, so 1 - a
+    and 1 - v keep their own digits."""
     a, v = Decimal(a), Decimal(v)
+    one = Decimal(1)
     with localcontext() as ctx:
-        ctx.prec = 50 + max(0, -v.adjusted())
-        one = Decimal(1)
-        if v == one:
+        ctx.prec = digits + max(0, -v.adjusted(), -a.adjusted())
+        if (v == one and a != one) or (v == 0 and a != 0):
             return Decimal("Infinity")
-        out = (one - a) * ((one - a) / (one - v)).ln()
+        out = (one - a) * ((one - a) / (one - v)).ln() if a != one else Decimal(0)
         return out + a * (a / v).ln() if a else out
 
 
@@ -408,6 +444,24 @@ def test_coord_upper_at_zero_is_the_closed_form(n, t):
     closed = -math.expm1(-t / n)
     assert closed <= ci.upper <= closed * (1 + 1e-12)
     assert Decimal(n) * _decimal_kl(0.0, ci.upper) >= Decimal(t)
+
+
+def test_coord_upper_answers_re_check_with_binary_kl():
+    # every answer below 1 is outside the ball by the public binary_kl; with
+    # the complement form, 243 of 2,000 were inside it by that function
+    rng = np.random.default_rng(79)
+    cases = [(0.37636541261165457, 10**11, 25.316405816136392)]
+    for _ in range(2000):
+        cases.append((float(rng.uniform(0.0, 1.0)), int(10 ** rng.uniform(6.0, 15.0)), float(rng.uniform(0.5, 30.0))))
+    for a, n, t in cases:
+        upper = coord_upper_bound(ProbVector((a, 1.0 - a)), ExperimentShape(2, n), 1, t).upper
+        assert upper == 1.0 or n * binary_kl(a, upper) > t, (a, n, t, upper)
+    # the pinned case: n * d is 25.3164067 there, and the complement form read
+    # 25.3164011, inside the ball
+    a, n, t = cases[0]
+    upper = coord_upper_bound(ProbVector((a, 1.0 - a)), ExperimentShape(2, n), 1, t).upper
+    assert upper == 0.3763763141463617
+    assert binary_kl(a, upper) == pytest.approx(float(_decimal_kl(a, upper, digits=100)), rel=1e-15 / (upper - a))
 
 
 def test_coord_upper_rejects_a_level_below_float_resolution():

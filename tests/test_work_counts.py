@@ -65,7 +65,7 @@ def test_coordinate_bound_takes_few_divergence_evaluations(count_calls, coord, a
     # bisection took 39-40 evaluations, the Newton solve takes 5-6
     shape = ExperimentShape(2, 10)
     t = 1.0 if alpha is None else critical_value(CriticalValueQuery(shape, alpha))
-    evaluations = count_calls(inversion, "_ball_kl")
+    evaluations = count_calls(inversion, "binary_kl")
     inversion.coord_upper_bound(ProbVector((0.4, 0.6)), shape, coord, t)
     assert 1 <= len(evaluations) <= 7
 
