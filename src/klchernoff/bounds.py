@@ -12,8 +12,12 @@ The exact bound and its inverse come from one lambda search,
 :func:`_lambda_min`, which takes many t (or alpha) of one shape at once.  The
 polynomial depends on the shape only and t enters the objective linearly, so
 the 512-point grid of log G is computed once per call and the refinements of
-all thresholds run in lockstep.  The grid only locates basins: every log G a
-search returns is :func:`gkn.log_eval_gkn`'s pairwise sum, so each exact
+all thresholds run in lockstep.  Its 511 points below lambda = 1 are one
+:func:`gkn.log_eval_gkn_grid` call, whose knot groups sum the prefix that
+:func:`gkn._prefix` certifies at their largest point, the rule of every
+log G; its end lambda = 1 is the cached log G(1) below.  The grid only
+locates basins: every log G a search returns is :func:`gkn.log_eval_gkn`'s
+pairwise sum, so each exact
 bound is ``log_eval_gkn(lambda) - lambda t`` bit for bit at the lambda it
 reports, and a critical value the dual of that.  :func:`chernoff_exact_many`
 gives the exact bound at many t for the price of one grid (``sweep`` and
@@ -179,15 +183,16 @@ def _lambda_min(k: int, n: int, phi, params: list[float]) -> list[tuple[float, f
     that broadcast.  ``log G`` on the 512-point ``_LAMBDA_GRID`` depends on
     the shape only, so it is computed once for all params, which are then
     searched ``_PARAM_CHUNK`` at a time (:func:`_search_chunk`), so memory is
-    bounded whatever their number.
+    bounded whatever their number.  The grid evaluates the 511 points below
+    lambda = 1, each knot group over the prefix that :func:`gkn._prefix`
+    certifies at its largest point; the end lambda = 1 is the shape's cached
+    log G(1), the scalar sum, so no grid column sums the whole table.
     """
     ev = _evaluator(k, n)
     # log G between +inf walls at lambda = 0 and 1 makes the objective +inf
     # there, so the ends of the grid need no test of their own
-    walled_log_g = np.concatenate(([np.inf], log_eval_gkn_grid(ev, _LAMBDA_GRID), [np.inf]))
-    # the grid only locates basins; lambda = 1, a candidate, takes the scalar
-    # bits, from the shape's cached log G(1)
-    walled_log_g[-2] = _log_g_one(k, n)
+    grid_log_g = log_eval_gkn_grid(ev, _LAMBDA_GRID[:-1])
+    walled_log_g = np.concatenate(([np.inf], grid_log_g, [_log_g_one(k, n), np.inf]))
     found = []
     for start in range(0, len(params), _PARAM_CHUNK):
         found += _search_chunk(ev, phi, walled_log_g, params[start : start + _PARAM_CHUNK])

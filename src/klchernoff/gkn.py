@@ -22,14 +22,21 @@ also keeps "rungs", prefixes of 2, 4, 8, ... times the lower knot's; a
 single log G sums the first rung whose tail bound, taken at lambda itself,
 is at most 2^-60, and adds that bound.  The walk runs in blocks of doubling
 length and stops at the first block end past the lambda = 1 cut, so it
-touches at most about twice the kept table, not all n ratios.  The public lambda grid is reduced in
-one work buffer per call and still sums each column in sequence, where the
-scalar path sums pairwise; the two agree to within the rounding of S, not bit
-for bit, so a lambda search uses the grid only to locate basins.  The steps
-of many searches at once are summed one row a point, each row pairwise, and
-a batch of one is the scalar call itself (:func:`_log_eval_points`): every
-log G a search returns is :func:`log_eval_gkn`'s pairwise sum, over the same
-rung or knot prefix.  The grid keeps the knot prefixes alone.
+touches at most about twice the kept table, not all n ratios; a shape whose
+cut lies past 2^25 terms is refused with a ValueError, before its table is
+allocated.
+
+One rule, :func:`_prefix`, gives the prefix of every log G.  The scalar
+call and a batch of points apply it at each lambda; the public lambda grid
+applies it once per knot group, at the group's largest lambda, whose
+certified tail bounds every smaller lambda of the group as well.  The grid
+is reduced in one work buffer per call and still sums each column in
+sequence, where the scalar path sums pairwise; the two agree to within the
+rounding of S, not bit for bit, so a lambda search uses the grid only to
+locate basins.  The steps of many searches at once are summed one row a
+point, each row pairwise, and a batch of one is the scalar call itself
+(:func:`_log_eval_points`): every log G a search returns is
+:func:`log_eval_gkn`'s pairwise sum.
 Every sum of log-domain terms, here and in the bound factors and the
 enumeration oracle, goes through the one :func:`logsumexp` reduction.
 
@@ -61,6 +68,12 @@ _LOG_TAIL_MASS = math.log(_TAIL_MASS)
 # as long.  The walk stops once the lambda = 1 cut lies behind it, so a table
 # that keeps K terms walks at most 2K + _FIRST_BLOCK ratios, not all n.
 _FIRST_BLOCK = 1024
+
+# Most term ratios one walk takes (a table of 256 MiB).  A shape whose
+# lambda = 1 cut lies past them is refused, before its table is allocated
+# where a closed-form bound shows it (:func:`_check_table_size`), else when
+# the walk gets there; (2, 10^12 + 1) keeps 10,302,599 terms.
+_MAX_TERMS = 1 << 25
 
 # An evaluation at lambda sums the prefix cut for the first knot >= lambda.
 # More knots shorten that prefix, but each adds a group of NumPy calls to
@@ -152,15 +165,42 @@ def _cut(log_coeffs: np.ndarray, log_ratio: np.ndarray, log_lam: float) -> tuple
     return (kept, math.exp(log_tail(kept))) if kept < log_coeffs.size else (kept, 0.0)
 
 
+def _too_large(k: int, n: int) -> ValueError:
+    return ValueError(
+        f"shape k={k}, n={n} is too large: its coefficient table would need more than {_MAX_TERMS:,} terms"
+    )
+
+
+def _check_table_size(k: int, n: int) -> None:
+    """Refuse the shape if its lambda = 1 cut provably lies past
+    ``_MAX_TERMS``, without walking it.
+
+    For j/n <= 1/2, log(1 - j/n) >= -j/n - (j/n)^2, so at m = ``_MAX_TERMS``
+    <= n/2, log c_m >= log C(m+k-2, k-2) - sum_{j<m} (j/n + (j/n)^2).  If
+    that exceeds log 2^-60, the term c_m alone is above the tail mass, the
+    test of :func:`_cut` fails at m and at every index before it, and the
+    cut lies past m.  Smaller n are left to the walk's own stop.
+    """
+    m = _MAX_TERMS
+    if 2 * m > n:
+        return
+    log_binom = math.lgamma(m + k - 1) - math.lgamma(m + 1) - math.lgamma(k - 1)
+    sum_j, sum_j2 = m * (m - 1) / 2, (m - 1) * m * (2 * m - 1) / 6
+    if log_binom - sum_j / n - sum_j2 / n / n > _LOG_TAIL_MASS:
+        raise _too_large(k, n)
+
+
 def _walk(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-coefficients and log-ratios of the shape, walked in blocks of
     doubling size until the lambda = 1 test of :func:`_cut` holds at the last
     index of a block; then both arrays end at that index.  Shapes that need
-    every term walk to the end: n + 1 coefficients and n ratios."""
+    every term walk to the end: n + 1 coefficients and n ratios.  The walk
+    takes at most ``_MAX_TERMS`` ratios and raises a ValueError if the test
+    has not held by then."""
     coeffs, ratios = [np.zeros(1)], []
     hi, size = 0, _FIRST_BLOCK
     while hi < n:
-        lo, hi, size = hi, min(n, hi + size), 2 * size
+        lo, hi, size = hi, min(n, hi + size, _MAX_TERMS), 2 * size
         j = np.arange(lo, hi, dtype=float)
         log_ratio = np.log1p(-j / n) + np.log1p((k - 2) / (j + 1.0))
         # seeded with c_lo, cumsum continues the one sequential sum over all
@@ -169,8 +209,11 @@ def _walk(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(block, out=block)
         coeffs.append(block[1:])
         ratios.append(log_ratio)
-        if hi < n and _log_tail(float(block[-2]), float(log_ratio[-1]), hi - 1, 0.0) <= _LOG_TAIL_MASS:
-            return np.concatenate(coeffs)[:hi], np.concatenate(ratios)
+        if hi < n:
+            if _log_tail(float(block[-2]), float(log_ratio[-1]), hi - 1, 0.0) <= _LOG_TAIL_MASS:
+                return np.concatenate(coeffs)[:hi], np.concatenate(ratios)
+            if hi == _MAX_TERMS:
+                raise _too_large(k, n)
     return np.concatenate(coeffs), np.concatenate(ratios)
 
 
@@ -201,6 +244,11 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
     Inside a knot interval whose prefix grows from kept_{j-1} to kept_j >=
     4 kept_{j-1}, the rungs K = 2^i kept_{j-1} <= kept_j / 2, i >= 1, are
     stored with the walk's log r_K (see :class:`GknEvaluator`).
+
+    A shape whose lambda = 1 cut lies past ``_MAX_TERMS`` = 2^25 terms
+    raises a ValueError naming it: before the walk where a closed-form bound
+    on c_{2^25} shows it (:func:`_check_table_size`; (2, 10^15) and larger
+    at k = 2), else once the walk has taken 2^25 ratios.
     """
     k, n = shape.k, shape.n
     if k == 1 or n == 0:
@@ -208,6 +256,7 @@ def build_evaluator(shape: ExperimentShape) -> GknEvaluator:
         cuts = [(1, 0.0)] * len(_KNOTS)
         rungs = [()] * len(_KNOTS)
     else:
+        _check_table_size(k, n)
         log_coeffs, log_ratio = _walk(k, n)
         cuts = [_cut(log_coeffs, log_ratio, math.log(knot)) for knot in _KNOTS]
         # (0, 1/8] has no lower knot to double
@@ -284,13 +333,17 @@ def eval_gkn(ev: GknEvaluator, lam: float) -> float:
 
 def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     """Vectorized ``log_eval_gkn`` over a 1-d grid of lambda values.  The
-    columns are grouped by knot; each group sums its own prefix and adds its
-    own tail, so no value is below the exact log G beyond the rounding of S.
+    columns are grouped by knot interval, and each group sums the prefix
+    that :func:`_prefix` certifies at its largest lambda, lambda_top: the
+    rule of :func:`log_eval_gkn`, rungs included.  For lambda <= lambda_top
+    the dropped terms sum to at most ``tail * (lambda/lambda_top)**K``, which
+    each column adds back, so no value is below the exact log G beyond the
+    rounding of S.
 
     Each group is reduced in column chunks of at most ``_CHUNK_ENTRIES``
-    terms, all in one work buffer per call sized to the largest chunk.  The
-    reduction runs down axis 0, which sums each column in sequence (a lone
-    column pairwise), with a rounding error of up to ~kept_j units in the
+    terms, all in one work buffer per call sized from the groups' prefixes.
+    The reduction runs down axis 0, which sums each column in sequence (a
+    lone column pairwise), with a rounding error of up to ~K units in the
     last place of S.  The 1-d sum of :func:`log_eval_gkn` is pairwise, so the
     two paths can differ in the last bits.
     """
@@ -303,23 +356,28 @@ def log_eval_gkn_grid(ev: GknEvaluator, lams: np.ndarray) -> np.ndarray:
     if ev.log_coeffs.size == 1:
         return out
     nz = np.flatnonzero(arr > 0.0)
-    knot_of = np.searchsorted(_KNOTS, arr[nz])
-    # np.unique would import numpy.ma on the first call
-    sizes = np.bincount(knot_of, minlength=len(_KNOTS))
-    cols_per_chunk = [max(1, _CHUNK_ENTRIES // kept) for kept, _ in ev.cuts]
-    work = np.empty(max(kept * min(size, cols) for (kept, _), size, cols in zip(ev.cuts, sizes, cols_per_chunk)))
-    m = np.arange(ev.log_coeffs.size, dtype=float)[:, None]
-    for j in np.flatnonzero(sizes):
-        group = nz[knot_of == j]
-        kept, tail = ev.cuts[j]
+    lams_nz = arr[nz]
+    knot_of = np.searchsorted(_KNOTS, lams_nz)
+    # the largest lambda of each knot interval, 0 where it holds none
+    tops = np.zeros(len(_KNOTS))
+    np.maximum.at(tops, knot_of, lams_nz)
+    present = np.flatnonzero(tops)
+    groups = [nz[knot_of == j] for j in present]
+    tops = tops[present].tolist()
+    prefixes = [_prefix(ev, top) for top in tops]
+    cols_per_chunk = [max(1, _CHUNK_ENTRIES // kept) for kept, _ in prefixes]
+    sizes = [kept * min(group.size, cols) for group, (kept, _), cols in zip(groups, prefixes, cols_per_chunk)]
+    work = np.empty(max(sizes, default=0))
+    m = np.arange(max((kept for kept, _ in prefixes), default=0), dtype=float)[:, None]
+    for group, top, (kept, tail), cols in zip(groups, tops, prefixes, cols_per_chunk):
         lc = ev.log_coeffs[:kept, None]
-        for start in range(0, group.size, cols_per_chunk[j]):
-            idx = group[start : start + cols_per_chunk[j]]
+        for start in range(0, group.size, cols):
+            idx = group[start : start + cols]
             lams_chunk = arr[idx]
             terms = work[: kept * idx.size].reshape(kept, idx.size)
             np.multiply(m[:kept], np.log(lams_chunk)[None, :], out=terms)
             np.add(lc, terms, out=terms)
-            out[idx] = logsumexp(terms, out=terms) + tail * (lams_chunk / _KNOTS[j]) ** kept
+            out[idx] = logsumexp(terms, out=terms) + tail * (lams_chunk / top) ** kept
     return out
 
 

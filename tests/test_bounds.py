@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from klchernoff import bounds
+from klchernoff import bounds, gkn
 from klchernoff.bounds import (
     ALL_METHODS,
     BOUND_METHODS,
+    CriticalValueQuery,
     TailQuery,
     _make_result,
     agrawal_limit_bound,
@@ -15,6 +16,7 @@ from klchernoff.bounds import (
     chernoff_exact,
     chernoff_exact_many,
     chernoff_uncorrected,
+    critical_value,
     defined_at,
     evaluate_bound,
     lambda_one_bound,
@@ -275,8 +277,7 @@ def _scalar_search(k, n, t):
     The lockstep search must give its bits."""
     ev = build_evaluator(ExperimentShape(k, n))
     lams = bounds._LAMBDA_GRID
-    log_g = log_eval_gkn_grid(ev, lams)
-    log_g[-1] = log_eval_gkn(ev, 1.0)
+    log_g = np.append(log_eval_gkn_grid(ev, lams[:-1]), log_eval_gkn(ev, 1.0))
     obj = log_g - lams * t
     candidates = [(float(obj[0]), 0.0), (float(obj[-1]), 1.0)]
     brackets = [(lams[j - 1], lams[j + 1]) for j in range(1, lams.size - 1) if obj[j] <= obj[j - 1] and obj[j] <= obj[j + 1]]
@@ -315,6 +316,62 @@ def test_exact_many_matches_single_queries_bit_for_bit(k, n):
     assert many == [chernoff_exact(TailQuery(shape, t)) for t in ts]
     for t, result in zip(ts[:6], many):
         assert (result.log_value, result.lambda_used) == _scalar_search(k, n, t)
+
+
+def _basins(log_g, t):
+    """Grid indices no higher than their neighbours, as the search finds
+    them, for the objective log G - lambda t between +inf walls."""
+    walled = np.concatenate(([np.inf], log_g - bounds._LAMBDA_GRID * t, [np.inf]))
+    obj = walled[1:-1]
+    return np.flatnonzero((obj <= walled[:-2]) & (obj <= walled[2:])).tolist()
+
+
+@pytest.mark.parametrize("k,n", SEARCH_SHAPES)
+def test_grid_basins_equal_those_of_the_scalar_values(k, n):
+    # the grid's columns only locate basins, and they locate the ones that
+    # the 511 scalar values below lambda = 1 give
+    ev = build_evaluator(ExperimentShape(k, n))
+    below_one = bounds._LAMBDA_GRID[:-1]
+    log_g_one = bounds._log_g_one(k, n)
+    grid = np.append(log_eval_gkn_grid(ev, below_one), log_g_one)
+    scalar = np.array(gkn._log_eval_points(ev, below_one.tolist()) + [log_g_one])
+    line = k - 1.0
+    ts = np.linspace(0.1, 3 * k + 12, 21).tolist() + [line, math.nextafter(line, 0.0), math.nextafter(line, 99.0)]
+    for t in ts:
+        assert _basins(grid, t) == _basins(scalar, t)
+
+
+def test_search_grid_never_evaluates_lambda_one(count_calls):
+    # the search's lambda = 1 end is the shape's cached log G(1)
+    grids = count_calls(bounds, "log_eval_gkn_grid", arg=1)
+    for k, n in SEARCH_SHAPES:
+        shape = ExperimentShape(k, n)
+        chernoff_exact_many(shape, [0.5, k + 3.0, 10.0 * k + 50.0])
+        critical_value(CriticalValueQuery(shape, 0.05))
+    assert len(grids) == 2 * len(SEARCH_SHAPES)
+    for lams in grids:
+        assert lams.max() < 1.0
+        assert lams.tolist() == bounds._LAMBDA_GRID[:-1].tolist()
+
+
+def test_huge_n_search_pins_and_grid_memory(monkeypatch):
+    # at (2, 10^10) the table keeps 1,007,866 terms; the search's grid sums
+    # the 41,984-term rung certified at 510/511 in (7/8, 1), not the table
+    # (61.7 MiB when it did)
+    grid, peaks = bounds.log_eval_gkn_grid, []
+
+    def traced_grid(ev, lams):
+        out = []
+        peaks.append(_traced_peak_mib(lambda: out.append(grid(ev, lams))))
+        return out[0]
+
+    monkeypatch.setattr(bounds, "log_eval_gkn_grid", traced_grid)
+    shape = ExperimentShape(2, 10**10)
+    assert critical_value(CriticalValueQuery(shape, 0.05)).hex() == "0x1.6f9b79e9dc1e4p+2"
+    assert chernoff_exact(TailQuery(shape, 3.0)).log_value.hex() == "-0x1.cd82b0adcf3aap-1"
+    assert chernoff_exact(TailQuery(shape, 8.0)).log_value.hex() == "-0x1.3aea6e0b658b4p+2"
+    assert len(peaks) == 3
+    assert max(peaks) <= 32.0
 
 
 @pytest.mark.parametrize("k,n", SEARCH_SHAPES + [(30, 4), (20, 5)])

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import klchernoff
 from klchernoff import verify
 from klchernoff.cli import main
 from klchernoff.data import butterfly_fixture_path
@@ -293,3 +299,24 @@ def test_csv_format_uses_ten_significant_digits(capsys):
     lines = out.strip().splitlines()
     value = lines[1].split(",")[1]
     assert value == format(3 * math.exp(-5), ".10g")
+
+
+def test_shape_beyond_the_term_limit_exits_one_under_a_memory_limit():
+    # the table of (2, 10^18) would need ~10^10 terms; it is refused before
+    # anything is allocated, so a 1 GiB address space is enough
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(klchernoff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["bound", "--k", "2", "--n", str(10**18), "--t", "5", "--method", "corrected"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "klchernoff.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: shape k=2, n=1000000000000000000 is too large")
+    assert len(proc.stderr.splitlines()) == 1
+    assert elapsed < 2.0

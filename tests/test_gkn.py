@@ -217,7 +217,9 @@ def test_grid_matches_scalar_eval():
 
 def _grid_with_temporaries(ev, lams):
     """Reference grid evaluation: a fresh temporary per step and knot group,
-    found by np.unique.  The work-buffer path must match it bit for bit."""
+    found by np.unique, each group over the prefix that ``gkn._prefix``
+    certifies at its largest lambda.  The work-buffer path must match it bit
+    for bit."""
     out = np.zeros(lams.size)
     if ev.log_coeffs.size == 1:
         return out
@@ -226,7 +228,8 @@ def _grid_with_temporaries(ev, lams):
     m = np.arange(ev.log_coeffs.size, dtype=float)[:, None]
     for j in np.unique(knot_of):
         group = nz[knot_of == j]
-        kept, tail = ev.cuts[j]
+        top = float(lams[group].max())
+        kept, tail = gkn._prefix(ev, top)
         lc = ev.log_coeffs[:kept, None]
         cols_per_chunk = max(1, 8_000_000 // kept)
         for start in range(0, group.size, cols_per_chunk):
@@ -234,7 +237,7 @@ def _grid_with_temporaries(ev, lams):
             terms = lc + m[:kept] * np.log(lams[idx])[None, :]
             peak = terms.max(axis=0)
             log_s = peak + np.log(np.exp(terms - peak).sum(axis=0))
-            out[idx] = log_s + tail * (lams[idx] / KNOTS[j]) ** kept
+            out[idx] = log_s + tail * (lams[idx] / top) ** kept
     return out
 
 
@@ -249,6 +252,65 @@ def test_grid_matches_per_group_temporaries_bit_for_bit(k, n):
     ]
     for lams in grids:
         assert log_eval_gkn_grid(ev, lams).tobytes() == _grid_with_temporaries(ev, lams).tobytes()
+
+
+# The search grid's shapes: the benchmark's, (31, 93) with its two basins,
+# and (2, 10^10), whose top knot group sums a rung, not the whole table.
+GRID_SHAPES = [(6, 100), (31, 93), (436, 2029), (50, 10**5), (2, 10**6), (2, 10**10)]
+
+# The grid sums each column in sequence and log_eval_gkn pairwise: where
+# log G is tiny, one ulp of S ~ 1 is most of the difference (2.2e-16 against
+# log G = 0.00196 at (2, 10^6), lambda = 1/511, 1.1e-13 relative).
+GRID_REL, GRID_ABS = 1e-13, 1e-15
+
+
+@pytest.mark.parametrize("k,n", GRID_SHAPES)
+def test_grid_groups_sum_the_prefix_certified_at_their_top(k, n, count_calls):
+    # one knot group per logsumexp call at these shapes; each sums exactly
+    # the prefix _prefix gives at the group's largest lambda
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = np.linspace(0.0, 1.0, 512)[:-1]
+    sums = count_calls(gkn, "logsumexp")
+    log_eval_gkn_grid(ev, lams)
+    knot_of = np.searchsorted(KNOTS, lams[1:])
+    tops = [float(lams[1:][knot_of == j].max()) for j in range(len(KNOTS))]
+    assert [terms.shape for terms in sums] == [
+        (gkn._prefix(ev, top)[0], int((knot_of == j).sum())) for j, top in enumerate(tops)
+    ]
+    if (k, n) == (2, 10**10):
+        # 510/511 is certified by the rung of 41,984 terms, not the table
+        assert sums[-1].shape[0] == 41_984 < ev.log_coeffs.size
+
+
+@pytest.mark.parametrize("k,n", GRID_SHAPES)
+def test_grid_matches_scalar_at_every_search_lambda(k, n):
+    ev = build_evaluator(ExperimentShape(k, n))
+    lams = np.linspace(0.0, 1.0, 512)
+    scalar = gkn._log_eval_points(ev, lams.tolist())
+    assert log_eval_gkn_grid(ev, lams).tolist() == pytest.approx(scalar, rel=GRID_REL, abs=GRID_ABS)
+
+
+@pytest.mark.parametrize("k,n", [(6, 100), (436, 2029), (2, 10**6), (2, 1)])
+def test_grid_edge_cases_match_scalar(k, n, count_calls):
+    ev = build_evaluator(ExperimentShape(k, n))
+    rng = np.random.default_rng(k + n)
+    grids = {
+        "empty": np.array([]),
+        "zeros": np.zeros(5),
+        "lone one": np.array([1.0]),
+        "unsorted, repeated": np.array([0.9, 0.3, 1.0, 0.3, 0.0, 0.9, 0.125, 0.125, 1.0]),
+        "one knot group": rng.uniform(0.626, 0.75, 40),
+        "one group with its top": np.array([0.7, 0.74, 0.75, 0.626]),
+    }
+    for name, lams in grids.items():
+        values = log_eval_gkn_grid(ev, lams)
+        assert values.shape == lams.shape, name
+        assert values.tolist() == pytest.approx([log_eval_gkn(ev, float(x)) for x in lams], rel=GRID_REL, abs=GRID_ABS)
+        assert values.tobytes() == _grid_with_temporaries(ev, lams).tobytes(), name
+    # a lone lambda = 1 is the top of its group: it sums the whole table
+    sums = count_calls(gkn, "logsumexp")
+    log_eval_gkn_grid(ev, np.array([1.0]))
+    assert [terms.shape for terms in sums] == [(ev.log_coeffs.size, 1)]
 
 
 KERNEL_SHAPES = [(6, 100), (436, 2029), (50, 10**5), (2, 10**6), (31, 93), (2, 1), (3, 4), (1, 5), (4, 0)]
@@ -492,6 +554,35 @@ def test_scalar_log_g_makes_one_prefix_sized_array():
     kept, _ = gkn._prefix(ev, 1.0)
     assert kept > 10**6
     assert _traced_peak_mib(lambda: log_eval_gkn(ev, 1.0)) <= 1.5 * kept * 8 / 2**20
+
+
+@pytest.mark.parametrize("k,n", [(2, 10**12 + 1), (50, 10**5), (436, 2029)])
+def test_table_size_check_admits_shapes_within_the_limit(k, n):
+    # (2, 10^12 + 1) keeps 10,302,599 terms; nothing is built here
+    gkn._check_table_size(k, n)
+
+
+@pytest.mark.parametrize("n", [10**15, 10**18])
+def test_huge_tables_are_refused_before_the_walk(n, monkeypatch):
+    # a walk here would run until memory ran out; fail instead
+    def walk(k, n):
+        raise AssertionError(f"walked the table of ({k}, {n})")
+
+    monkeypatch.setattr(gkn, "_walk", walk)
+    with pytest.raises(ValueError, match=f"k=2, n={n} .*33,554,432 terms"):
+        build_evaluator(ExperimentShape(2, n))
+
+
+def test_walk_stops_at_the_term_limit(monkeypatch):
+    within = build_evaluator(ExperimentShape(2, 10**6))
+    monkeypatch.setattr(gkn, "_MAX_TERMS", 16384)
+    # (2, 10^6) walks 15,360 ratios: its table is unchanged
+    ev = build_evaluator(ExperimentShape(2, 10**6))
+    assert (ev.log_coeffs.tobytes(), ev.cuts) == (within.log_coeffs.tobytes(), within.cuts)
+    # 30,000 < 2 * 16,384 has no closed-form check; its terms still rise at
+    # index 16,383, so the walk stops there
+    with pytest.raises(ValueError, match="k=20000, n=30000 .*16,384 terms"):
+        build_evaluator(ExperimentShape(20000, 30000))
 
 
 def test_derivative_examples():
